@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .perms import PatternSet, Perm, format_pattern_set, set_direct_sum
-from .perms import _tight_refs
+from .perms import PatternSet, format_pattern_set, occurs, set_direct_sum
 from .boards import (
     Board,
     Filling,
@@ -52,12 +52,13 @@ class BijectionError(ValueError):
 
 @dataclass(frozen=True)
 class BijectionOracle:
-    """A named shape-preserving map between avoidance classes."""
+    """A named shape-preserving map between avoidance classes.  The built-in
+    oracles' ``apply(f, trace=None)`` also fills an optional trace list."""
 
     name: str
     source: PatternSet
     target: PatternSet
-    apply: Callable[[Filling], Filling]
+    apply: Callable[..., Filling]
 
 
 Trace = Optional[list]
@@ -241,6 +242,12 @@ def _high_last_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
     return [c, ell]
 
 
+@lru_cache(maxsize=None)
+def _fan_set(k: int, apex: int) -> PatternSet:
+    """The fan set of size k with the given apex, built once per (k, apex)."""
+    return pop_to_pattern_set(fan_pop(k, apex))
+
+
 def _pset(*words: str) -> PatternSet:
     return frozenset(tuple(int(ch) for ch in word) for word in words)
 
@@ -256,6 +263,25 @@ TOP_ROW_PAIRS: dict[PatternSet, SlotRule] = {
 }
 
 
+def _top_row_rule(patterns: PatternSet) -> SlotRule:
+    try:
+        return TOP_ROW_PAIRS[patterns]
+    except KeyError:
+        known = ", ".join(sorted(format_pattern_set(s) for s in TOP_ROW_PAIRS))
+        raise BijectionError(
+            f"no top-row slot rule for {format_pattern_set(patterns)}; "
+            f"known pairs: {known}"
+        ) from None
+
+
+def _require_avoids(f: Filling, source: PatternSet) -> None:
+    """The precondition of every bijection: f avoids the source set."""
+    if not filling_avoids_all(f, source):
+        raise BijectionError(
+            f"input filling contains a pattern of {format_pattern_set(source)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # public bijections
 
@@ -267,11 +293,7 @@ def fan_bijection(
     the same board avoiding the fan set with apex ``target_apex``; the two
     runs with swapped apexes are mutually inverse.
     """
-    source = pop_to_pattern_set(fan_pop(k, source_apex))
-    if not filling_avoids_all(f, source):
-        raise BijectionError(
-            f"input filling contains a pattern of {format_pattern_set(source)}"
-        )
+    _require_avoids(f, _fan_set(k, source_apex))
     return _run_rank_matched(
         f,
         _peel_top,
@@ -289,11 +311,7 @@ def fan_to_bottom_last(f: Filling, k: int, trace: Trace = None) -> Filling:
     rightmost column; valid reinsertion rows are the k-1 bottommost squares
     on the source side and the k-1 topmost on the target side.
     """
-    source = pop_to_pattern_set(fan_pop(k, k))
-    if not filling_avoids_all(f, source):
-        raise BijectionError(
-            f"input filling contains a pattern of {format_pattern_set(source)}"
-        )
+    _require_avoids(f, _fan_set(k, k))
 
     def src(ell: int, below: Filling, trace: Trace) -> list[int]:
         return list(range(1, min(k - 1, ell) + 1))
@@ -314,58 +332,14 @@ def wedge_valley_bijection(
     min(2, top-row length) insertion slots, matched by rank.
     """
     source = frozenset(source)
-    target = frozenset(target)
-    try:
-        src_rule = TOP_ROW_PAIRS[source]
-        tgt_rule = TOP_ROW_PAIRS[target]
-    except KeyError as missing:
-        known = ", ".join(sorted(format_pattern_set(s) for s in TOP_ROW_PAIRS))
-        raise BijectionError(
-            f"no top-row slot rule for {format_pattern_set(frozenset(missing.args[0]))}; "
-            f"known pairs: {known}"
-        ) from None
-    if not filling_avoids_all(f, source):
-        raise BijectionError(
-            f"input filling contains a pattern of {format_pattern_set(source)}"
-        )
+    src_rule = _top_row_rule(source)
+    tgt_rule = _top_row_rule(frozenset(target))
+    _require_avoids(f, source)
     return _run_rank_matched(f, _peel_top, _unpeel_top, src_rule, tgt_rule, trace)
 
 
 # ---------------------------------------------------------------------------
 # direct sum transfer
-
-def _subset_inboard_contains(
-    board: Board, rows: Perm, cols: list[int], p: Perm
-) -> bool:
-    """In-board occurrence of p among the 1s of the given columns only."""
-    k = len(p)
-    if k == 0 or k > len(cols):
-        return k == 0
-    refs = _tight_refs(p)
-    top = board[0] + 1
-    chosen = [0] * k
-
-    def walk(j: int, start: int, cur_max: int) -> bool:
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else top
-        last = j == k - 1
-        for t in range(start, len(cols) - (k - j - 1)):
-            c = cols[t]
-            v = rows[c - 1]
-            if lov < v < hiv:
-                new_max = v if v > cur_max else cur_max
-                if last:
-                    if new_max <= board[c - 1]:
-                        return True
-                else:
-                    chosen[j] = v
-                    if walk(j + 1, t + 1, new_max):
-                        return True
-        return False
-
-    return walk(0, 0, 0)
-
 
 def direct_sum_transfer(
     f: Filling, tail: PatternSet, inner: BijectionOracle, trace: Trace = None
@@ -382,11 +356,7 @@ def direct_sum_transfer(
     filling avoiding the tail everywhere is all blue and maps to itself.
     """
     tail = frozenset(tail)
-    source = set_direct_sum(inner.source, tail)
-    if not filling_avoids_all(f, source):
-        raise BijectionError(
-            f"input filling contains a pattern of {format_pattern_set(source)}"
-        )
+    _require_avoids(f, set_direct_sum(inner.source, tail))
     board, rows = f
     m = len(board)
     if m == 0:
@@ -394,10 +364,10 @@ def direct_sum_transfer(
     tail_sorted = sorted(tail)
 
     def is_red(c: int, r: int) -> bool:
-        ne_cols = [c2 for c2 in range(c + 1, m + 1) if rows[c2 - 1] > r]
-        return any(
-            _subset_inboard_contains(board, rows, ne_cols, p) for p in tail_sorted
-        )
+        # project the filling onto the 1s strictly above and to the right
+        ne_rows = [v for v in rows[c:] if v > r]
+        ne_heights = [h for h, v in zip(board[c:], rows[c:]) if v > r]
+        return any(occurs(p, ne_rows, ne_heights) for p in tail_sorted)
 
     # red cells form a bottom-left-closed region; per column they are the
     # bottom run of rows, so only the run length is needed
@@ -449,36 +419,31 @@ def direct_sum_transfer(
 def fan_oracle(k: int, source_apex: int, target_apex: int) -> BijectionOracle:
     return BijectionOracle(
         name=f"fan k={k} apex {source_apex}->{target_apex}",
-        source=pop_to_pattern_set(fan_pop(k, source_apex)),
-        target=pop_to_pattern_set(fan_pop(k, target_apex)),
-        apply=lambda f: fan_bijection(f, k, source_apex, target_apex),
+        source=_fan_set(k, source_apex),
+        target=_fan_set(k, target_apex),
+        apply=lambda f, trace=None: fan_bijection(f, k, source_apex, target_apex, trace),
     )
 
 
 def fan_bottom_last_oracle(k: int) -> BijectionOracle:
     return BijectionOracle(
         name=f"fan-bottom-last k={k}",
-        source=pop_to_pattern_set(fan_pop(k, k)),
+        source=_fan_set(k, k),
         target=pop_to_pattern_set(below_all_pop(k, k)),
-        apply=lambda f: fan_to_bottom_last(f, k),
+        apply=lambda f, trace=None: fan_to_bottom_last(f, k, trace),
     )
 
 
 def wedge_valley_oracle(source: PatternSet, target: PatternSet) -> BijectionOracle:
     source = frozenset(source)
     target = frozenset(target)
-    for patterns in (source, target):
-        if patterns not in TOP_ROW_PAIRS:
-            known = ", ".join(sorted(format_pattern_set(s) for s in TOP_ROW_PAIRS))
-            raise BijectionError(
-                f"no top-row slot rule for {format_pattern_set(patterns)}; "
-                f"known pairs: {known}"
-            )
+    _top_row_rule(source)
+    _top_row_rule(target)
     return BijectionOracle(
         name=f"wedge-valley {format_pattern_set(source)}->{format_pattern_set(target)}",
         source=source,
         target=target,
-        apply=lambda f: wedge_valley_bijection(f, source, target),
+        apply=lambda f, trace=None: wedge_valley_bijection(f, source, target, trace),
     )
 
 
@@ -488,7 +453,7 @@ def transfer_oracle(inner: BijectionOracle, tail: PatternSet) -> BijectionOracle
         name=f"transfer[{inner.name}] (+) {format_pattern_set(tail)}",
         source=set_direct_sum(inner.source, tail),
         target=set_direct_sum(inner.target, tail),
-        apply=lambda f: direct_sum_transfer(f, tail, inner),
+        apply=lambda f, trace=None: direct_sum_transfer(f, tail, inner, trace),
     )
 
 

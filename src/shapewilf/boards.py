@@ -20,8 +20,7 @@ import csv
 import io
 from typing import Iterable, Iterator, NamedTuple
 
-from .perms import Perm, make_perm, parse_perm, format_perm
-from .perms import _tight_refs  # shared pruning tables
+from .perms import Perm, format_perm, make_perm, occurrence_ending_at, occurs, parse_perm
 
 Board = tuple[int, ...]
 
@@ -216,86 +215,19 @@ def filling_contains(f: Filling, p: Perm) -> bool:
     >>> filling_contains(fig, (1, 2, 3))
     True
     """
-    heights, rows = f.board, f.rows
-    k, m = len(p), len(rows)
-    if k == 0:
-        return True
-    if k > m:
-        return False
-    refs = _tight_refs(p)
-    chosen = [0] * k
-
-    def walk(j: int, start: int, cur_max: int) -> bool:
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else m + 1
-        last = j == k - 1
-        for i in range(start, m - (k - j - 1)):
-            v = rows[i]
-            if lov < v < hiv:
-                new_max = v if v > cur_max else cur_max
-                if last:
-                    if new_max <= heights[i]:
-                        return True
-                else:
-                    chosen[j] = v
-                    if walk(j + 1, i + 1, new_max):
-                        return True
-        return False
-
-    return walk(0, 0, 0)
+    return occurs(p, f.rows, f.board)
 
 
 def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
     return not any(filling_contains(f, p) for p in patterns)
 
 
-def _occurrence_ending_at(p, refs, placed_rows, bound, r) -> bool:
-    """Occurrence of p whose last column is the new one: the new 1 at row r,
-    corner capped by the new column's height ``bound``."""
-    k = len(p)
-    if r > bound:
-        return False
-    if k == 1:
-        return True
-    pk = p[-1]
-    n = len(placed_rows)
-    if n < k - 1:
-        return False
-    chosen = [0] * (k - 1)
-    cap = bound + 1
-
-    def walk(j: int, start: int) -> bool:
-        if j == k - 1:
-            return True
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else cap
-        # fold in the comparison against the fixed last value r
-        if p[j] < pk:
-            if r < hiv:
-                hiv = r
-        elif r > lov:
-            lov = r
-        if hiv > cap:
-            hiv = cap
-        for i in range(start, n - (k - 2 - j)):
-            v = placed_rows[i]
-            if lov < v < hiv:
-                chosen[j] = v
-                if walk(j + 1, i + 1):
-                    return True
-        return False
-
-    return walk(0, 0)
-
-
 def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
     """
     All fillings of the board avoiding every pattern in ``avoid``,
     generated column by column (left to right), rows ascending.
-    Avoidance is checked incrementally on each placed 1, searching only
-    occurrences whose last column is the new one.
+    Avoidance is checked incrementally on each placed 1 by the engine
+    kernel ``perms.occurrence_ending_at``, capped by the column's height.
 
     >>> [f.rows for f in fillings((3, 2, 1))]
     [(3, 2, 1)]
@@ -309,7 +241,6 @@ def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
     if board[0] != m:
         return
     patterns = sorted(set(avoid))
-    refs = [_tight_refs(p) for p in patterns]
     rows: list[int] = []
     used = [False] * (m + 1)
 
@@ -321,16 +252,15 @@ def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
         for r in range(1, h + 1):
             if used[r]:
                 continue
-            if any(
-                _occurrence_ending_at(p, pr, rows, h, r)
-                for p, pr in zip(patterns, refs)
-            ):
-                continue
-            rows.append(r)
-            used[r] = True
-            yield from place(c + 1)
-            used[r] = False
-            rows.pop()
+            for p in patterns:
+                if occurrence_ending_at(p, rows, r, h):
+                    break
+            else:
+                rows.append(r)
+                used[r] = True
+                yield from place(c + 1)
+                used[r] = False
+                rows.pop()
 
     yield from place(0)
 

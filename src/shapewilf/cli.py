@@ -3,7 +3,7 @@ Command-line front end.
 
 Subcommands: count-av, check, suite, bijection, boards, fillings, oeis.
 Global flags (before the subcommand): --format {table,csv,json-lines},
---offline, --cache-dir, --threads, --time-budget, --timings.
+--offline, --cache-dir, --time-budget, --timings.
 
 Exit status: 0 = success / verdict equal, 1 = mathematical divergence or
 failed verification, 2 = usage error.  This contract is stable for
@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from typing import Optional, Sequence
 
 from .perms import format_pattern_set, parse_pattern_set
@@ -35,17 +34,13 @@ from .boards import (
 from .bijections import (
     BijectionError,
     BijectionOracle,
-    fan_bijection,
     fan_bottom_last_oracle,
     fan_oracle,
-    fan_to_bottom_last,
-    direct_sum_transfer,
     transfer_oracle,
     verify_bijection,
-    wedge_valley_bijection,
     wedge_valley_oracle,
 )
-from .equivalence import avoider_counts, shape_wilf_table, wilf_table
+from .equivalence import BUDGET_CAP, counts_within_budget, shape_wilf_table, wilf_table
 from .suites import SuiteOptions, run_suite
 from . import oeis
 
@@ -95,13 +90,7 @@ def _fan_params_for(patterns) -> tuple[int, int]:
 
 def cmd_count_av(args) -> int:
     patterns = parse_pattern_set(args.set)
-    counts = avoider_counts(patterns, args.n)
-    if args.time_budget is not None:
-        start = time.perf_counter()
-        n = args.n
-        while n < 16 and time.perf_counter() - start < args.time_budget:
-            n += 1
-            counts = avoider_counts(patterns, n)
+    counts = counts_within_budget(patterns, args.n, args.time_budget)
     records = [{"n": i + 1, "count": c} for i, c in enumerate(counts)]
     _emit_records(records, args.format, ["n", "count"])
     return EXIT_OK
@@ -211,20 +200,7 @@ def cmd_bijection(args) -> int:
     f = parse_filling(args.filling)
     trace: Optional[list] = [] if args.trace else None
     try:
-        if args.name == "fan":
-            out = fan_bijection(f, args.k, args.source_apex, args.target_apex, trace)
-        elif args.name == "fan-bottom-last":
-            out = fan_to_bottom_last(f, args.k, trace)
-        elif args.name == "wedge-valley":
-            out = wedge_valley_bijection(
-                f, parse_pattern_set(args.source), parse_pattern_set(args.target), trace
-            )
-        else:
-            k1, a1 = _fan_params_for(parse_pattern_set(args.source))
-            k2, a2 = _fan_params_for(parse_pattern_set(args.target))
-            out = direct_sum_transfer(
-                f, parse_pattern_set(args.tail), fan_oracle(k1, a1, a2), trace
-            )
+        out = oracle.apply(f, trace)
     except BijectionError as exc:
         print(f"bijection failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -274,13 +250,7 @@ def cmd_oeis(args) -> int:
     # compare
     patterns = parse_pattern_set(args.set)
     seq = oeis.fetch_sequence(args.id, cache_dir=args.cache_dir, offline=args.offline)
-    counts = avoider_counts(patterns, args.n)
-    if args.time_budget is not None:
-        start = time.perf_counter()
-        n = args.n
-        while n < 16 and time.perf_counter() - start < args.time_budget:
-            n += 1
-            counts = avoider_counts(patterns, n)
+    counts = counts_within_budget(patterns, args.n, args.time_budget)
     report = oeis.align_and_compare(counts, seq)
     rec = {
         "set": format_pattern_set(patterns),
@@ -312,11 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--offline", action="store_true",
                         help="never touch the network; use cache/bundled data")
     parser.add_argument("--cache-dir", default=None, help="OEIS b-file cache directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is "
-                        "sequential and deterministic")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
-                        help="keep extending counting past --n while time remains")
+                        help="keep extending counting past --n while time "
+                        f"remains, up to n={BUDGET_CAP}")
     parser.add_argument("--timings", action="store_true",
                         help="include wall times in suite output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,24 +6,30 @@ avoiders in S_n for every n, and shape-Wilf-equivalent when they have the
 same number of avoiding fillings on every Ferrers board; the second
 implies the first (the full square is a board).
 
-Avoiders are counted with an extension tree: every avoider of length n
-arises uniquely by inserting the new maximum value into a gap of an
-avoider of length n-1 (deleting the maximum preserves avoidance), so only
-occurrences through the new maximum need testing.  All counts are exact
-Python integers, so there is no overflow to detect.
+Avoiders are counted by a depth-first walk of an extension tree.  Every
+avoider of length n arises exactly once by appending a last entry
+r in 1..n to an avoider of length n-1 and shifting the values >= r up by
+one: deleting the last entry and standardizing preserves avoidance, and
+it undoes the append.  So only occurrences ending at the new last entry
+need testing, which is the engine kernel ``perms.occurrence_ending_at``
+with the cap at n; filling enumeration runs the same kernel with the cap
+at each column's height.  The walk keeps one root-to-leaf path, so its
+memory is O(n) whatever n is.  All counts are exact Python integers, so
+there is no overflow to detect.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .perms import (
     PatternSet,
     Perm,
     all_perms,
     avoids_all,
-    contains,
     format_pattern_set,
+    occurrence_ending_at,
     parse_perm,
     set_apply_ops,
     set_complement,
@@ -89,79 +95,91 @@ class EquivalenceReport:
 # ---------------------------------------------------------------------------
 # avoider generation
 
-def _insertions(w: Perm, patterns: Iterable[Perm]) -> Iterator[Perm]:
-    """Avoiding children of w: insert the new maximum into every gap."""
-    n = len(w) + 1
-    for gap in range(n):
-        child = w[:gap] + (n,) + w[gap:]
-        if not any(contains(p, child, through=gap + 1) for p in patterns):
-            yield child
+# Memory stays O(n): the cap bounds the time of the level running at the end.
+BUDGET_CAP = 14
+
+
+def _extension_walk(
+    patterns: Iterable[Perm], n_max: int, leaves: Optional[list] = None
+) -> list[int]:
+    """Counts of avoiders for n = 1..n_max, by one depth-first walk of the
+    extension tree; the avoiders of length n_max go into ``leaves``."""
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    patterns = sorted(set(patterns))
+    counts = [0] * n_max
+
+    def grow(w: Perm) -> None:
+        n = len(w) + 1
+        for r in range(1, n + 1):
+            for p in patterns:
+                if occurrence_ending_at(p, w, r, n):
+                    break
+            else:
+                counts[n - 1] += 1
+                if n < n_max:
+                    grow(tuple(v + 1 if v >= r else v for v in w) + (r,))
+                elif leaves is not None:
+                    leaves.append(tuple(v + 1 if v >= r else v for v in w) + (r,))
+
+    if n_max:
+        grow(())
+    elif leaves is not None:
+        leaves.append(())
+    return counts
 
 
 def avoiders(patterns: Iterable[Perm], n: int) -> list[Perm]:
     """
-    All permutations of length n avoiding every given pattern, by
-    breadth-first extension-tree generation.
+    All permutations of length n avoiding every given pattern, by the
+    depth-first extension walk.
 
     >>> sorted(avoiders({(1, 2, 3)}, 3))
     [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    patterns = sorted(set(patterns))
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    frontier: list[Perm] = [()]
-    for _ in range(n):
-        frontier = [c for w in frontier for c in _insertions(w, patterns)]
-    return frontier
+    leaves: list[Perm] = []
+    _extension_walk(patterns, n, leaves)
+    return leaves
 
 
 def avoider_counts(patterns: Iterable[Perm], n_max: int) -> list[int]:
     """
-    Counts of avoiders for n = 1..n_max (breadth-first; the whole frontier
-    is kept, which is fine for the desk scales this library targets).
+    Counts of avoiders for n = 1..n_max.
 
     >>> avoider_counts({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 5)
     [1, 2, 6, 24, 118]
     """
-    patterns = sorted(set(patterns))
-    counts = []
-    frontier: list[Perm] = [()]
-    for _ in range(n_max):
-        frontier = [c for w in frontier for c in _insertions(w, patterns)]
-        counts.append(len(frontier))
-    return counts
+    return _extension_walk(patterns, n_max)
 
 
-def _count_dfs(patterns: list[Perm], w: Perm, remaining: int) -> int:
-    if remaining == 0:
-        return 1
-    return sum(
-        _count_dfs(patterns, child, remaining - 1)
-        for child in _insertions(w, patterns)
-    )
-
-
-def count_avoiders(patterns: Iterable[Perm], n: int, *, method: str = "auto") -> int:
+def count_avoiders(patterns: Iterable[Perm], n: int) -> int:
     """
     Number of permutations of length n avoiding every given pattern.
-
-    ``method`` is "bfs" (keeps the frontier), "dfs" (streams, constant
-    memory) or "auto" (bfs up to n=10, dfs above).
 
     >>> count_avoiders({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 4)
     24
     >>> count_avoiders({(1, 2)}, 3)
     1
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if method == "auto":
-        method = "bfs" if n <= 10 else "dfs"
-    if method == "bfs":
-        return avoider_counts(patterns, n)[-1] if n else 1
-    if method == "dfs":
-        return _count_dfs(sorted(set(patterns)), (), n)
-    raise ValueError(f"unknown method {method!r}")
+    return _extension_walk(patterns, n)[-1] if n else 1
+
+
+def counts_within_budget(
+    patterns: Iterable[Perm], n: int, budget: Optional[float]
+) -> list[int]:
+    """
+    Avoider counts for 1..n; with a time budget in seconds, keep adding
+    one more n while time remains, up to n = BUDGET_CAP.  A budget of 0
+    returns exactly n counts.
+    """
+    counts = avoider_counts(patterns, n)
+    if budget is None:
+        return counts
+    start = time.perf_counter()
+    while n < BUDGET_CAP and time.perf_counter() - start < budget:
+        n += 1
+        counts = avoider_counts(patterns, n)
+    return counts
 
 
 def count_avoiders_naive(patterns: Iterable[Perm], n: int) -> int:
@@ -207,6 +225,8 @@ def shape_wilf_table(
     Per-board avoiding-filling counts for every board with up to n_max
     columns, in deterministic board order.
     """
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
     report = EquivalenceReport("shape-wilf", frozenset(left), frozenset(right), n_max)
     left = sorted(left)
     right = sorted(right)
@@ -231,13 +251,8 @@ def find_shape_wilf_divergence(
     Smallest board (by column count, then enumeration order) on which the
     two sets have different avoiding-filling counts, or None.
     """
-    for n in range(1, n_limit + 1):
-        for board in enumerate_boards(n):
-            lc = count_fillings(board, left)
-            rc = count_fillings(board, right)
-            if lc != rc:
-                return ShapeWilfRow(n, board, lc, rc)
-    return None
+    report = shape_wilf_table(left, right, n_limit, fail_fast=True)
+    return None if report.equal else report.rows[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
@@ -167,7 +167,10 @@ def parse_pattern_set(text: str) -> PatternSet:
         text = text[1:-1]
     if not text:
         raise ValueError("empty pattern set")
-    return frozenset(parse_perm(tok.strip()) for tok in text.split(","))
+    members = [tok.strip() for tok in text.split(",")]
+    if not all(members):
+        raise ValueError(f"empty member in pattern set {text!r}")
+    return frozenset(parse_perm(tok) for tok in members)
 
 
 def format_pattern_set(patterns: PatternSet) -> str:
@@ -207,10 +210,11 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # ---------------------------------------------------------------------------
 # occurrence search
 #
-# Occurrences are found by a depth-first walk over index tuples with
-# pruning: thanks to order-isomorphism, the candidate value at pattern
-# position j is constrained only by the values chosen for the pattern's
-# nearest smaller and nearest larger entries among positions < j.
+# Both searches choose pattern positions left to right with pruning: by
+# order-isomorphism, the value at pattern position j is bounded only by the
+# values chosen for its nearest smaller and nearest larger entries among
+# positions < j.  The engine kernel drives the generators; the reference
+# walker is what they are checked against, so the two share nothing else.
 
 @lru_cache(maxsize=None)
 def _tight_refs(p: Perm) -> tuple[tuple[int, int], ...]:
@@ -226,50 +230,122 @@ def _tight_refs(p: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(refs)
 
 
-def contains(p: Perm, w: Perm, *, through: int | None = None) -> bool:
+def occurrence_ending_at(p: Perm, rows: Sequence[int], r: int, cap: int) -> bool:
     """
-    Does the pattern p occur in w?  With ``through`` set (1-based), only
-    occurrences using that index of w are considered.
+    Engine kernel of the avoider tree and of filling enumeration: does p
+    occur with its last entry in a new column appended after ``rows``,
+    holding its 1 at row r, and with every chosen row at most ``cap``?
+
+    Existing rows >= r count as above the new entry.  A filling never
+    repeats a row, and a permutation child made by appending r shifts
+    those values up by one, so both generators pass their rows unchanged.
+
+    >>> occurrence_ending_at((1, 2), (2, 1), 2, 3)  # the child 312
+    True
+    >>> occurrence_ending_at((1, 2), (2, 1), 1, 3)  # the child 321
+    False
+    >>> occurrence_ending_at((2, 1), (3,), 1, 2)    # corner row 3 > cap 2
+    False
+    """
+    k, n = len(p), len(rows)
+    if r > cap or n < k - 1:
+        return False
+    if k <= 1:
+        return True
+    refs = _tight_refs(p)
+    pk = p[-1]
+    top = cap + 1
+    chosen = [0] * (k - 1)
+
+    def walk(j: int, start: int) -> bool:
+        if j == k - 1:
+            return True
+        lo, hi = refs[j]
+        lov = chosen[lo] if lo >= 0 else 0
+        hiv = chosen[hi] if hi >= 0 else top
+        # fold in the comparison against the new last entry
+        if p[j] < pk:
+            if r < hiv:
+                hiv = r
+        elif r - 1 > lov:
+            lov = r - 1
+        for i in range(start, n - (k - 2 - j)):
+            v = rows[i]
+            if lov < v < hiv:
+                chosen[j] = v
+                if walk(j + 1, i + 1):
+                    return True
+        return False
+
+    return walk(0, 0)
+
+
+def occurs(
+    p: Perm,
+    rows: Sequence[int],
+    heights: Optional[Sequence[int]] = None,
+    found: Optional[list] = None,
+) -> bool:
+    """
+    Reference walker: does p occur in the row sequence?  With per-column
+    ``heights`` the occurrence must also be in-board: the top-right corner
+    (last chosen column, highest chosen row) lies under that column's
+    height.  With ``found`` an empty list, the walk does not stop at the
+    first occurrence: it appends every one to ``found`` as a 1-based index
+    tuple, in lexicographic order.
+
+    >>> occurs((1, 2), (2, 1, 3))
+    True
+    >>> occurs((1, 2), (2, 1, 3), heights=(3, 3, 2))
+    False
+    >>> hits = []
+    >>> occurs((1, 2), (2, 1, 3), found=hits), hits
+    (True, [(1, 3), (2, 3)])
+    """
+    k, n = len(p), len(rows)
+    if k == 0:
+        if found is not None:
+            found.append(())
+        return True
+    if k > n:
+        return False
+    refs = _tight_refs(p)
+    top = max(rows) + 1
+    idxs = [0] * k
+    chosen = [0] * k
+
+    def walk(j: int, start: int, cur_max: int) -> bool:
+        lo, hi = refs[j]
+        lov = chosen[lo] if lo >= 0 else 0
+        hiv = chosen[hi] if hi >= 0 else top
+        for i in range(start, n - (k - j - 1)):
+            v = rows[i]
+            if lov < v < hiv:
+                new_max = v if v > cur_max else cur_max
+                idxs[j] = i + 1
+                if j < k - 1:
+                    chosen[j] = v
+                    if walk(j + 1, i + 1, new_max):
+                        return True
+                elif heights is None or new_max <= heights[i]:
+                    if found is None:
+                        return True
+                    found.append(tuple(idxs))
+        return False
+
+    return walk(0, 0, 0) or bool(found)
+
+
+def contains(p: Perm, w: Perm) -> bool:
+    """
+    Does the pattern p occur in w?
 
     >>> contains((1, 2, 3), (3, 1, 4, 2, 5))
     True
     >>> contains((1, 2), (1,))
     False
-    >>> contains((2, 1), (1, 3, 2), through=1)
-    False
     """
-    k, n = len(p), len(w)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    anchor = -1
-    if through is not None:
-        if not 1 <= through <= n:
-            raise ValueError(f"index {through} out of range 1..{n}")
-        anchor = through - 1
-    refs = _tight_refs(p)
-    chosen = [0] * k
-
-    def walk(j: int, start: int, used: bool) -> bool:
-        if j == k:
-            return used
-        if not used and anchor < start:
-            return False
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else n + 1
-        for i in range(start, n - (k - j - 1)):
-            if not used and i > anchor:
-                break
-            v = w[i]
-            if lov < v < hiv:
-                chosen[j] = v
-                if walk(j + 1, i + 1, used or i == anchor):
-                    return True
-        return False
-
-    return walk(0, 0, anchor < 0)
+    return occurs(p, w)
 
 
 def occurrences(p: Perm, w: Perm) -> Iterator[tuple[int, ...]]:
@@ -280,31 +356,9 @@ def occurrences(p: Perm, w: Perm) -> Iterator[tuple[int, ...]]:
     >>> list(occurrences((1, 2, 3), (3, 1, 4, 2, 5)))
     [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
     """
-    k, n = len(p), len(w)
-    if k == 0:
-        yield ()
-        return
-    if k > n:
-        return
-    refs = _tight_refs(p)
-    idxs = [0] * k
-    chosen = [0] * k
-
-    def walk(j: int, start: int) -> Iterator[tuple[int, ...]]:
-        if j == k:
-            yield tuple(i + 1 for i in idxs)
-            return
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else n + 1
-        for i in range(start, n - (k - j - 1)):
-            v = w[i]
-            if lov < v < hiv:
-                idxs[j] = i
-                chosen[j] = v
-                yield from walk(j + 1, i + 1)
-
-    yield from walk(0, 0)
+    found: list[tuple[int, ...]] = []
+    occurs(p, w, found=found)
+    return iter(found)
 
 
 def pattern_occurrences(p: Perm, w: Perm) -> int:

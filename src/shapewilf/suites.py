@@ -17,7 +17,7 @@ from .pops import below_all_pop, pop_to_pattern_set
 from .boards import format_board
 from .bijections import fan_oracle, transfer_oracle, verify_bijection
 from .equivalence import (
-    avoider_counts,
+    counts_within_budget,
     evaluate_set_expression,
     find_shape_wilf_divergence,
     shape_wilf_table,
@@ -171,20 +171,6 @@ def _identity_check(suite: str, name: str, lhs_text: str, expr: str) -> CheckRes
     return _timed(run)
 
 
-def _counts_within_budget(
-    patterns: PatternSet, n_base: int, budget: Optional[float], cap: int = 14
-) -> list[int]:
-    counts = avoider_counts(patterns, n_base)
-    if budget is None:
-        return counts
-    start = time.perf_counter()
-    n = n_base
-    while n < cap and time.perf_counter() - start < budget:
-        n += 1
-        counts = avoider_counts(patterns, n)
-    return counts
-
-
 def _oeis_check(
     suite: str, name: str, patterns: PatternSet, seq_id: str, opts: SuiteOptions,
     label: str = VERIFICATION,
@@ -203,7 +189,7 @@ def _oeis_check(
                 f"Av_n({format_pattern_set(patterns)}) matches {seq_id}",
                 False, params, {"error": str(exc)},
             )
-        counts = _counts_within_budget(patterns, n_max, opts.time_budget)
+        counts = counts_within_budget(patterns, n_max, opts.time_budget)
         report = oeis.align_and_compare(counts, seq)
         passed = report.aligned and report.matched_prefix_length >= min(
             n_max, len(seq.entries)

@@ -67,6 +67,48 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "suite", "no-such-suite")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "bijection", "fan", "--filling", "[2,2]/12")[0] == 2
+    assert run(capsys, "--threads", "2", "count-av", "--set", "12", "--n", "3")[0] == 2
+
+
+def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
+    for argv in [
+        ("count-av", "--set", "{21,12,}", "--n", "3"),
+        ("count-av", "--set", "12", "--n", "-1"),
+        ("oeis", "compare", "--set", "12", "--n", "-1"),
+        ("check", "wilf", "--left", "{123}", "--right", "{132}", "--n", "-3"),
+        ("check", "shape-wilf", "--left", "{12}", "--right", "{21}", "--n", "-3"),
+    ]:
+        code, out, err = run(capsys, "--offline", *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+def test_time_budget_zero_keeps_n_rows(capsys):
+    code, out, _ = run(
+        capsys, "--time-budget", "0", "--format", "csv",
+        "count-av", "--set", "{123}", "--n", "5",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,1", "2,2", "3,5", "4,14", "5,42"]
+
+
+def test_time_budget_extends_counts_up_to_the_cap(capsys):
+    from shapewilf.equivalence import BUDGET_CAP
+
+    # Av(123, 132) has 2^(n-1) members: cheap enough to reach the cap
+    code, out, _ = run(
+        capsys, "--time-budget", "60", "--format", "csv",
+        "count-av", "--set", "{123,132}", "--n", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{n},{2 ** (n - 1)}" for n in range(1, BUDGET_CAP + 1)]
+
+    code, out, _ = run(
+        capsys, "--offline", "--time-budget", "60", "--format", "json-lines",
+        "oeis", "compare", "A224295", "--set", "{123,132}", "--n", "3",
+    )
+    assert json.loads(out)["computed_terms"] == BUDGET_CAP
 
 
 def test_bijection_single_shot(capsys):
@@ -87,6 +129,47 @@ def test_bijection_trace(capsys):
     lines = out.splitlines()
     assert sum(1 for l in lines if l.startswith("# peel")) == 3
     assert lines[-1] == "[3,3,3]/321"
+
+
+def test_bijection_trace_of_every_bijection_is_pinned(capsys):
+    cases = [
+        (("fan-bottom-last", "--k", "3", "--filling", "[4,4,4,3]/3412"), [
+            "# peel level 1: ell=3 pos=2 slots=[1, 2] rank=1",
+            "# peel level 2: ell=3 pos=1 slots=[1, 2] rank=0",
+            "# peel level 3: ell=2 pos=2 slots=[1, 2] rank=1",
+            "# peel level 4: ell=1 pos=1 slots=[1] rank=0",
+            "# rebuild level 1: ell=1 slots=[1] rank=0 pos=1",
+            "# rebuild level 2: ell=2 slots=[1, 2] rank=1 pos=2",
+            "# rebuild level 3: ell=3 slots=[2, 3] rank=0 pos=2",
+            "# rebuild level 4: ell=3 slots=[2, 3] rank=1 pos=3",
+            "[4,4,4,3]/1423",
+        ]),
+        (("wedge-valley", "--source", "{132,213}", "--target", "{213,312}",
+          "--filling", "[4,4,4,4]/3421"), [
+            "# peel level 1: ell=4 pos=2 slots=[1, 2] rank=1",
+            "# peel level 2: ell=3 pos=1 slots=[1, 2] rank=0",
+            "# peel level 3: ell=2 pos=1 slots=[1, 2] rank=0",
+            "# note: top-row columns hold no 1 below the top row; "
+            "all (one) insertion slots valid",
+            "# peel level 4: ell=1 pos=1 slots=[1] rank=0",
+            "# note: top-row columns hold no 1 below the top row; "
+            "all (one) insertion slots valid",
+            "# rebuild level 1: ell=1 slots=[1] rank=0 pos=1",
+            "# rebuild level 2: ell=2 slots=[1, 2] rank=0 pos=1",
+            "# rebuild level 3: ell=3 slots=[1, 2] rank=0 pos=1",
+            "# rebuild level 4: ell=4 slots=[1, 2] rank=1 pos=2",
+            "[4,4,4,4]/3421",
+        ]),
+        (("transfer", "--source", "{123,213}", "--target", "{312,321}",
+          "--tail", "{12}", "--filling", "[5,5,5,5,5]/13245"), [
+            "# transfer: 3 red columns -> inner board [3,3,3]/132; blue rows [4, 5]",
+            "[5,5,5,5,5]/12345",
+        ]),
+    ]
+    for argv, lines in cases:
+        code, out, _ = run(capsys, "bijection", *argv, "--trace")
+        assert code == 0, argv
+        assert out == "\n".join(lines) + "\n", argv
 
 
 def test_bijection_precondition_exit_1(capsys):

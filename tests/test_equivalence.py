@@ -1,10 +1,13 @@
 """Counting engines, equivalence tables, symmetry machinery."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapewilf.perms import parse_pattern_set
 from shapewilf.boards import square_board, count_fillings
 from shapewilf.equivalence import (
     ExpressionError,
+    avoider_counts,
     avoiders,
     count_avoiders,
     count_avoiders_naive,
@@ -53,13 +56,22 @@ def test_extension_tree_matches_naive(set_text):
         assert count_avoiders(patterns, n) == count_avoiders_naive(patterns, n), n
 
 
-def test_dfs_matches_bfs():
-    for set_text in ["{12345,12354}", "{123}", "{12,21}"]:
-        patterns = parse_pattern_set(set_text)
-        for n in range(0, 7):
-            assert count_avoiders(patterns, n, method="dfs") == count_avoiders(
-                patterns, n, method="bfs"
-            )
+pattern_sets = st.lists(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    min_size=1,
+    max_size=3,
+).map(frozenset)
+
+
+@given(pattern_sets)
+@settings(max_examples=30, deadline=None)
+def test_counting_walk_matches_naive_and_square_fillings(patterns):
+    counts = avoider_counts(patterns, 6)
+    for n in range(1, 7):
+        assert counts[n - 1] == count_avoiders_naive(patterns, n), n
+        assert counts[n - 1] == count_fillings(square_board(n), patterns), n
 
 
 def test_mixed_length_sets():

@@ -16,6 +16,7 @@ from shapewilf.perms import (
     format_perm,
     inverse,
     make_perm,
+    occurrence_ending_at,
     occurrences,
     parse_pattern_set,
     parse_perm,
@@ -32,6 +33,20 @@ perms = st.integers(min_value=0, max_value=6).flatmap(
 patterns = st.integers(min_value=1, max_value=3).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+# a filling w of 1..n and per-column slack: see board_over
+fillings_with_slack = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.permutations(list(range(1, n + 1))).map(tuple),
+        st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
+    )
+)
+
+
+def board_over(w, slack):
+    """Column heights of a Ferrers board holding the filling w; every such
+    board arises from some slack (take slack = board - w)."""
+    n = len(w)
+    return tuple(min(n, max(w[j] + slack[j] for j in range(i, n))) for i in range(n))
 
 
 def brute_occurrences(p, w):
@@ -105,13 +120,36 @@ def test_symmetries_preserve_occurrence_counts(p, w):
     assert pattern_occurrences(inverse(p), inverse(w)) == base
 
 
-@given(patterns, perms, st.integers(min_value=1, max_value=6))
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    fillings_with_slack,
+    st.integers(min_value=1, max_value=7),
+)
+@settings(max_examples=300)
+def test_engine_kernel_matches_brute_force_in_board(p, filling, column):
+    w, slack = filling
+    heights = board_over(w, slack)
+    column = min(column, len(w))
+    # in-board: every cell of the k x k submatrix grid lies in the board
+    expected = any(
+        occ[-1] == column
+        and all(w[i - 1] <= heights[j - 1] for i in occ for j in occ)
+        for occ in brute_occurrences(p, w[:column])
+    )
+    got = occurrence_ending_at(p, w[: column - 1], w[column - 1], heights[column - 1])
+    assert got == expected
+
+
+@given(patterns, perms, st.integers(min_value=1, max_value=7))
 @settings(max_examples=150)
-def test_contains_through_matches_brute_force(p, w, pos):
-    if pos > len(w):
-        return
-    expected = any(pos in occ for occ in brute_occurrences(p, w))
-    assert contains(p, w, through=pos) == expected
+def test_engine_kernel_on_an_appended_last_entry(p, w, r):
+    n = len(w) + 1
+    r = min(r, n)
+    child = tuple(v + 1 if v >= r else v for v in w) + (r,)
+    expected = any(occ[-1] == n for occ in brute_occurrences(p, child))
+    assert occurrence_ending_at(p, w, r, n) == expected
 
 
 def test_direct_sum_worked_example():
@@ -164,3 +202,6 @@ def test_pattern_set_notation():
     assert format_pattern_set(s) == "{12345,12354}"
     with pytest.raises(ValueError):
         parse_pattern_set("{}")
+    for text in ("{21,12,}", "{,12}", "21,,12"):
+        with pytest.raises(ValueError, match="empty member"):
+            parse_pattern_set(text)
