@@ -35,8 +35,8 @@ from .perms import PatternSet, format_pattern_set, occurs, set_direct_sum
 from .boards import (
     Board,
     Filling,
-    enumerate_boards,
     filling_avoids_all,
+    filling_counts,
     fillings,
     format_filling,
     make_filling,
@@ -498,16 +498,18 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     Exhaustively check the oracle on every board with up to n_max columns:
     inputs avoid the source set, outputs stay on the same board and avoid
     the target set, the map is injective per board, and source/target
-    counts agree (surjectivity).  Stops at the first violation.
+    counts agree (surjectivity).  Stops at the first violation.  The
+    target counts of each level come from one ``filling_counts`` walk.
     """
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
     report = VerificationReport(oracle.name, n_max)
     source = sorted(oracle.source)
     target = sorted(oracle.target)
     for n in range(1, n_max + 1):
-        for board in enumerate_boards(n):
+        for board, target_count in filling_counts(n, target).items():
             report.boards_checked += 1
             sources = list(fillings(board, source))
-            target_count = sum(1 for _ in fillings(board, target))
             seen: dict[Filling, Filling] = {}
             for f in sources:
                 report.fillings_checked += 1

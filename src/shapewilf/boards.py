@@ -131,7 +131,9 @@ def enumerate_boards(n: int) -> list[Board]:
     >>> enumerate_boards(3)
     [(3, 3, 3), (3, 3, 2), (3, 3, 1), (3, 2, 2), (3, 2, 1)]
     """
-    if n < 1:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
         return []
     out: list[Board] = []
     heights = [n]
@@ -273,6 +275,64 @@ def count_fillings(board: Board, avoid: Iterable[Perm] = ()) -> int:
     4
     """
     return sum(1 for _ in fillings(board, avoid))
+
+
+def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
+    """
+    Avoiding-filling counts on every board with n columns, keyed in
+    ``enumerate_boards(n)`` order; boards with no avoider map to 0.
+
+    One depth-first walk chooses each column's row and height together,
+    so boards sharing a prefix of column heights share every partial
+    filling over it.  Each column gets an unused row r at most the height
+    H of the column before it (n for the first), and then every height
+    in an interval:
+
+    - the floor is r, or the largest row still unused if that is higher
+      (it must fit in a later column, and no later column is taller);
+      this keeps the i-th column from the right at least i tall, so every
+      board reached is one of ``enumerate_boards(n)``;
+    - the engine kernel's in-board test is monotone in the cap (a taller
+      column allows more occurrences), so the top is found by lowering
+      the cap from H until no pattern occurs.
+
+    >>> filling_counts(3)
+    {(3, 3, 3): 6, (3, 3, 2): 4, (3, 3, 1): 2, (3, 2, 2): 2, (3, 2, 1): 1}
+    >>> list(filling_counts(3, {(1, 2, 3), (2, 1, 3)}).values())
+    [4, 4, 2, 2, 1]
+    """
+    counts = dict.fromkeys(enumerate_boards(n), 0)
+    patterns = sorted(set(avoid))
+    rows: list[int] = []
+    heights: list[int] = []
+    used = [False] * (n + 1)
+
+    def place(cap: int) -> None:
+        for r in range(1, cap + 1):
+            if used[r]:
+                continue
+            used[r] = True
+            rest = n
+            while rest and used[rest]:
+                rest -= 1
+            floor = max(r, rest)
+            top = cap
+            for p in patterns:
+                while top >= floor and occurrence_ending_at(p, rows, r, top):
+                    top -= 1
+            rows.append(r)
+            for h in range(floor, top + 1):
+                heights.append(h)
+                if rest:
+                    place(h)
+                else:
+                    counts[tuple(heights)] += 1
+                heights.pop()
+            rows.pop()
+            used[r] = False
+
+    place(n)
+    return counts
 
 
 def transversal_count_formula(board: Board) -> int:

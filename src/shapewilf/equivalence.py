@@ -13,9 +13,10 @@ one: deleting the last entry and standardizing preserves avoidance, and
 it undoes the append.  So only occurrences ending at the new last entry
 need testing, which is the engine kernel ``perms.occurrence_ending_at``
 with the cap at n; filling enumeration runs the same kernel with the cap
-at each column's height.  The walk keeps one root-to-leaf path, so its
-memory is O(n) whatever n is.  All counts are exact Python integers, so
-there is no overflow to detect.
+at each column's height, and ``boards.filling_counts`` counts every
+board of one size in a single walk over column heights.  The walks keep
+one root-to-leaf path, so their memory is O(n) whatever n is.  All
+counts are exact Python integers, so there is no overflow to detect.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .perms import (
     set_inverse,
     set_reverse,
 )
-from .boards import Board, count_fillings, enumerate_boards
+from .boards import Board, filling_counts
 
 
 @dataclass(frozen=True)
@@ -169,16 +170,25 @@ def counts_within_budget(
 ) -> list[int]:
     """
     Avoider counts for 1..n; with a time budget in seconds, keep adding
-    one more n while time remains, up to n = BUDGET_CAP.  A budget of 0
-    returns exactly n counts.
+    one more n up to n = BUDGET_CAP, but start a level only if its
+    projected time fits in the budget still left.  The projection is the
+    last level's measured time times the growth of the last two counts.
+    A budget of 0 returns exactly n counts.
     """
+    start = time.perf_counter()
     counts = avoider_counts(patterns, n)
     if budget is None:
         return counts
-    start = time.perf_counter()
-    while n < BUDGET_CAP and time.perf_counter() - start < budget:
+    now = time.perf_counter()
+    deadline = now + budget
+    while n < BUDGET_CAP:
+        last, start = now - start, now
+        growth = counts[-1] / counts[-2] if n > 1 and counts[-2] else 1.0
+        if now + last * growth >= deadline:
+            break
         n += 1
         counts = avoider_counts(patterns, n)
+        now = time.perf_counter()
     return counts
 
 
@@ -199,7 +209,9 @@ def wilf_table(
     left: PatternSet, right: PatternSet, n_max: int, *, fail_fast: bool = True
 ) -> EquivalenceReport:
     """
-    Per-n avoider counts for both sets up to n_max.
+    Per-n avoider counts for both sets up to n_max.  One walk per set
+    counts every n up to n_max, so ``fail_fast`` only truncates the
+    report at the first diverging n; it saves no counting.
 
     >>> wilf_table(frozenset({(1, 2, 3)}), frozenset({(1, 2)}), 3).first_divergence
     2
@@ -223,18 +235,17 @@ def shape_wilf_table(
 ) -> EquivalenceReport:
     """
     Per-board avoiding-filling counts for every board with up to n_max
-    columns, in deterministic board order.
+    columns, in ``enumerate_boards`` order.  Each level n is counted by
+    one ``filling_counts`` walk per set, so ``fail_fast`` stops the report
+    at the first diverging board but not the counting of its level.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     report = EquivalenceReport("shape-wilf", frozenset(left), frozenset(right), n_max)
-    left = sorted(left)
-    right = sorted(right)
     for n in range(1, n_max + 1):
-        for board in enumerate_boards(n):
-            row = ShapeWilfRow(
-                n, board, count_fillings(board, left), count_fillings(board, right)
-            )
+        right_counts = filling_counts(n, right)
+        for board, left_count in filling_counts(n, left).items():
+            row = ShapeWilfRow(n, board, left_count, right_counts[board])
             report.rows.append(row)
             if not row.equal and report.verdict == "equal-up-to-n_max":
                 report.verdict = "diverges"

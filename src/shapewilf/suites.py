@@ -62,6 +62,17 @@ class SuiteOptions:
     cache_dir: Optional[str] = None
     time_budget: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for name in ("n_wilf", "n_shape", "n_bijection", "n_oeis"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _size(value: Optional[int], default: int) -> int:
+    """An explicit size option, or the suite's default when it is unset."""
+    return default if value is None else value
+
 
 @dataclass
 class CheckResult:
@@ -175,7 +186,7 @@ def _oeis_check(
     suite: str, name: str, patterns: PatternSet, seq_id: str, opts: SuiteOptions,
     label: str = VERIFICATION,
 ) -> CheckResult:
-    n_max = opts.n_oeis or 9
+    n_max = _size(opts.n_oeis, 9)
 
     def run() -> CheckResult:
         params = {"set": format_pattern_set(patterns), "id": seq_id, "n_max": n_max}
@@ -217,9 +228,9 @@ def _oeis_check(
 def suite_main_conjecture(opts: SuiteOptions) -> list[CheckResult]:
     """Replay the proof chain for {12345,12354} ~ {45123,45213}."""
     suite = "main-conjecture"
-    n_shape = opts.n_shape or 6
-    n_bij = opts.n_bijection or 5
-    n_wilf = opts.n_wilf or 9
+    n_shape = _size(opts.n_shape, 6)
+    n_bij = _size(opts.n_bijection, 5)
+    n_wilf = _size(opts.n_wilf, 9)
     checks = [
         _shape_wilf_check(
             suite, "step-1-boards",
@@ -248,7 +259,7 @@ def suite_main_conjecture(opts: SuiteOptions) -> list[CheckResult]:
 def suite_corollary_13(opts: SuiteOptions) -> list[CheckResult]:
     """The thirteen related sets and all decomposition identities."""
     suite = "corollary-13"
-    n_wilf = opts.n_wilf or 8
+    n_wilf = _size(opts.n_wilf, 8)
     checks = []
     for lhs_text, exprs in COROLLARY_DECOMPOSITIONS:
         lhs = parse_pattern_set(lhs_text)
@@ -271,7 +282,7 @@ def suite_conjecture_fan_minus_one(opts: SuiteOptions) -> list[CheckResult]:
     all-above POP from the last to the next-to-last slot preserves
     shape-Wilf-equivalence, for every k >= 2."""
     suite = "conjecture-fan-minus-one"
-    n_shape = opts.n_shape or 6
+    n_shape = _size(opts.n_shape, 6)
     checks = []
     for k in (3, 4):
         left = pop_to_pattern_set(below_all_pop(k, k))
@@ -299,7 +310,7 @@ def suite_negative_controls(opts: SuiteOptions) -> list[CheckResult]:
     the pair {123,132} are not shape-Wilf-equivalent and a smallest witness
     board must be found."""
     suite = "negative-controls"
-    n_limit = opts.n_shape or 6
+    n_limit = _size(opts.n_shape, 6)
 
     def run() -> CheckResult:
         row = find_shape_wilf_divergence(

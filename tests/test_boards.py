@@ -3,6 +3,8 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapewilf.perms import all_perms, parse_perm, parse_pattern_set
 from shapewilf.boards import (
@@ -15,6 +17,7 @@ from shapewilf.boards import (
     enumerate_boards,
     filling_avoids_all,
     filling_contains,
+    filling_counts,
     filling_from_permutation,
     fillings,
     format_board,
@@ -28,6 +31,13 @@ from shapewilf.boards import (
 )
 
 FIG_BOARD = board_from_row_lengths((6, 6, 6, 4, 3, 2))  # rows top-down: 2,3,4,6,6,6
+
+TARGETS = [
+    parse_pattern_set("{12}"),
+    parse_pattern_set("{123,213}"),
+    parse_pattern_set("{213,312}"),
+    parse_pattern_set("{132,4321}"),
+]
 
 
 def catalan(n):
@@ -175,18 +185,12 @@ def test_count_fillings_examples():
 
 
 def test_enumeration_matches_brute_force_with_avoidance():
-    targets = [
-        parse_pattern_set("{12}"),
-        parse_pattern_set("{123,213}"),
-        parse_pattern_set("{213,312}"),
-        parse_pattern_set("{132,4321}"),
-    ]
     from shapewilf.boards import Filling
 
     for n in range(1, 6):
         for board in enumerate_boards(n):
             all_transversals = brute_force_fillings(board)
-            for patterns in targets:
+            for patterns in TARGETS:
                 expected = [
                     w
                     for w in all_transversals
@@ -217,3 +221,54 @@ def test_board_counts_csv():
     text = board_counts_to_csv(table)
     assert text.splitlines()[0] == "board,count"
     assert '"[3,2,1]",1' in text
+
+
+def test_filling_counts_match_brute_force():
+    from shapewilf.boards import Filling
+
+    for n in range(1, 6):
+        for patterns in TARGETS:
+            counts = filling_counts(n, patterns)
+            for board in enumerate_boards(n):
+                expected = sum(
+                    1
+                    for w in brute_force_fillings(board)
+                    if filling_avoids_all(Filling(board, w), patterns)
+                )
+                assert counts[board] == expected, (board, patterns)
+
+
+pattern_sets = st.lists(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(pattern_sets, st.integers(min_value=1, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_filling_counts_match_per_board_enumeration(patterns, n):
+    assert filling_counts(n, patterns) == {
+        board: count_fillings(board, patterns) for board in enumerate_boards(n)
+    }
+
+
+def test_filling_counts_without_patterns_match_the_formula():
+    for n in range(1, 8):
+        for board, count in filling_counts(n).items():
+            assert count == transversal_count_formula(board), board
+
+
+def test_filling_counts_keys_are_the_boards_in_order():
+    for n in range(0, 7):
+        assert list(filling_counts(n, {(1, 2)})) == enumerate_boards(n)
+        # every filling contains the pattern 1: each board is kept with 0
+        zeros = filling_counts(n, {(1,)})
+        assert list(zeros) == enumerate_boards(n)
+        assert set(zeros.values()) <= {0}
+    with pytest.raises(ValueError):
+        filling_counts(-1)
+    with pytest.raises(ValueError):
+        enumerate_boards(-1)

@@ -1,5 +1,10 @@
 """CLI surface: subcommands, notations, output formats, exit codes."""
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapewilf.cli import main
 
@@ -77,11 +82,54 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         ("oeis", "compare", "--set", "12", "--n", "-1"),
         ("check", "wilf", "--left", "{123}", "--right", "{132}", "--n", "-3"),
         ("check", "shape-wilf", "--left", "{12}", "--right", "{21}", "--n", "-3"),
+        ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
+         "--verify", "-2"),
+        ("boards", "--n", "-1"),
+        ("suite", "negative-controls", "--n-shape", "0"),
+        ("suite", "main-conjecture", "--n-wilf", "0"),
+        ("suite", "main-conjecture", "--n-bijection", "-1"),
+        ("suite", "conjecture-13452", "--n-oeis", "0"),
     ]:
         code, out, err = run(capsys, "--offline", *argv)
         assert code == 2, argv
         assert out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+N = object()  # stands for a size drawn by the property below
+
+SIZE_COMMANDS = [
+    ("count-av", "--set", "{123}", "--n", N),
+    ("oeis", "compare", "--set", "{123}", "--n", N),
+    ("check", "wilf", "--left", "{123}", "--right", "{132}", "--n", N),
+    ("check", "shape-wilf", "--left", "{12}", "--right", "{21}", "--n", N),
+    ("suite", "corollary-13", "--n-wilf", N),
+    ("suite", "negative-controls", "--n-shape", N),
+    ("suite", "conjecture-13452", "--n-oeis", N),
+    ("suite", "main-conjecture", "--n-wilf", N, "--n-shape", N, "--n-bijection", N,
+     "--n-oeis", N),
+    ("bijection", "fan", "--k", N, "--source-apex", N, "--target-apex", N, "--verify", N),
+    ("bijection", "fan-bottom-last", "--k", N, "--verify", N),
+    ("boards", "--n", N),
+]
+
+# a positive size is a run time, so only the negative side is unbounded
+SIZES = (st.integers(min_value=1, max_value=4) | st.integers(min_value=-3, max_value=0)
+         | st.integers(max_value=-4))
+
+
+@given(st.sampled_from(SIZE_COMMANDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_size_option_exits_0_1_or_2(command, data):
+    argv = [str(data.draw(SIZES)) if tok is N else tok for tok in command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--offline", *argv])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 def test_time_budget_zero_keeps_n_rows(capsys):
@@ -91,6 +139,16 @@ def test_time_budget_zero_keeps_n_rows(capsys):
     )
     assert code == 0
     assert out.splitlines()[1:] == ["1,1", "2,2", "3,5", "4,14", "5,42"]
+
+
+def test_time_budget_starts_no_level_it_cannot_finish(capsys):
+    # the n=9 hub count costs several times the n=8 one, far above 0.5 s
+    code, out, _ = run(
+        capsys, "--time-budget", "0.5", "--format", "csv",
+        "count-av", "--set", "{12345,12354}", "--n", "8",
+    )
+    assert code == 0
+    assert len(out.splitlines()[1:]) == 8
 
 
 def test_time_budget_extends_counts_up_to_the_cap(capsys):
