@@ -12,8 +12,9 @@ equalities (shape-Wilf-equivalences) constructively:
   column is one of min(k-1, l) valid slots, and slots are matched by
   left-to-right rank on the two sides.
 * ``fan_to_bottom_last`` -- from the fan with apex at the last position to
-  the set of patterns whose minimum sits at the last position; same
-  recursion transposed, peeling the rightmost column and the row of its 1.
+  the set of patterns whose minimum sits at the last position; the fan map
+  from apex k to apex 1 on the transposed filling, transposed back.  So
+  every map here runs the one top-row peel recursion.
 * ``wedge_valley_bijection`` -- between any two of the six size-3 pattern
   pairs handled by the top-row recursion; for the valley-like pairs the
   two valid slots flank the column holding the highest 1 below the top row
@@ -22,7 +23,8 @@ equalities (shape-Wilf-equivalences) constructively:
   for S (+) T ~ S' (+) T by splitting the board into a "red" region (cells
   with an in-board occurrence of some pattern of T strictly above and to
   the right) and a "blue" rest, mapping the squashed red subfilling with
-  the inner bijection, and reinserting the blue rows and columns.
+  the inner bijection, and reinserting the blue rows and columns.  The red
+  region is read off one list of the in-board tail occurrences.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .boards import (
     fillings,
     format_filling,
     make_filling,
+    transpose_filling,
 )
 from .pops import fan_pop, below_all_pop, pop_to_pattern_set
 
@@ -108,60 +111,26 @@ def _unpeel_top(below: Filling, ell: int, col: int) -> Filling:
     return Filling(tuple(b), tuple(r))
 
 
-def _peel_right(f: Filling) -> tuple[int, int, Filling]:
-    """Remove the rightmost column and the row of its 1.
-
-    The removed row spans every column (its index is at most the minimum
-    column height), so the smaller board does not depend on it.
-    """
-    board, rows = f
-    ell = board[-1]
-    row = rows[-1]
-    b = tuple(h - 1 for h in board[:-1])
-    r = tuple(v - 1 if v > row else v for v in rows[:-1])
-    return ell, row, Filling(b, r)
-
-
-def _unpeel_right(below: Filling, ell: int, row: int) -> Filling:
-    """Re-add a full-width row at position ``row`` and a rightmost column of
-    height ell whose 1 sits in that row."""
-    if not 1 <= row <= ell:
-        raise BijectionError(f"bad right-column reinsertion ell={ell} row={row}")
-    if below.board and ell > below.board[-1] + 1:
-        raise BijectionError("right-column reinsertion does not fit the board")
-    if not below.board and ell != 1:
-        raise BijectionError("right-column reinsertion does not fit the board")
-    b = tuple(h + 1 for h in below.board) + (ell,)
-    r = tuple(v + 1 if v >= row else v for v in below.rows) + (row,)
-    return Filling(b, r)
-
-
 # ---------------------------------------------------------------------------
-# generic rank-matched recursions
+# the rank-matched top-row recursion
 
 class SlotRecord(NamedTuple):
-    """One peel level: length of the removed row/column, the slot the
-    removed 1 occupied among the valid insertions, and its rank."""
+    """One peel level: length of the removed top row, and the rank of the
+    removed 1's column among the valid insertion slots."""
 
     ell: int
-    position: int
     rank: int
 
 
 def _run_rank_matched(
-    f: Filling,
-    peel: Callable,
-    unpeel: Callable,
-    slots_src: SlotRule,
-    slots_tgt: SlotRule,
-    trace: Trace,
+    f: Filling, slots_src: SlotRule, slots_tgt: SlotRule, trace: Trace
 ) -> Filling:
     records: list[SlotRecord] = []
     cur = f
     level = 0
     while cur.board:
         level += 1
-        ell, pos, below = peel(cur)
+        ell, pos, below = _peel_top(cur)
         slots = slots_src(ell, below, trace)
         if pos not in slots:
             raise BijectionError(
@@ -171,7 +140,7 @@ def _run_rank_matched(
         rank = slots.index(pos)
         if trace is not None:
             trace.append(f"peel level {level}: ell={ell} pos={pos} slots={slots} rank={rank}")
-        records.append(SlotRecord(ell, pos, rank))
+        records.append(SlotRecord(ell, rank))
         cur = below
     out = _EMPTY
     for level, record in enumerate(reversed(records), 1):
@@ -182,7 +151,7 @@ def _run_rank_matched(
                 f"rebuild level {level}: ell={record.ell} slots={slots} "
                 f"rank={record.rank} pos={pos}"
             )
-        out = unpeel(out, record.ell, pos)
+        out = _unpeel_top(out, record.ell, pos)
     return out
 
 
@@ -295,31 +264,20 @@ def fan_bijection(
     """
     _require_avoids(f, _fan_set(k, source_apex))
     return _run_rank_matched(
-        f,
-        _peel_top,
-        _unpeel_top,
-        _fan_rule(k, source_apex),
-        _fan_rule(k, target_apex),
-        trace,
+        f, _fan_rule(k, source_apex), _fan_rule(k, target_apex), trace
     )
 
 
 def fan_to_bottom_last(f: Filling, k: int, trace: Trace = None) -> Filling:
     """
     Map a filling avoiding the fan set with apex k (patterns with maximum
-    last) to one avoiding the patterns with minimum last.  Peels the
-    rightmost column; valid reinsertion rows are the k-1 bottommost squares
-    on the source side and the k-1 topmost on the target side.
+    last) to one avoiding the patterns with minimum last: the fan map from
+    apex k to apex 1, conjugated by ``transpose_filling``.  Transposing a
+    filling inverts every in-board pattern; "maximum last" is closed under
+    inverse, and the inverse of "maximum first" is "minimum last".  So the
+    recursion peels the rightmost column and the row of its 1.
     """
-    _require_avoids(f, _fan_set(k, k))
-
-    def src(ell: int, below: Filling, trace: Trace) -> list[int]:
-        return list(range(1, min(k - 1, ell) + 1))
-
-    def tgt(ell: int, below: Filling, trace: Trace) -> list[int]:
-        return list(range(max(1, ell - k + 2), ell + 1))
-
-    return _run_rank_matched(f, _peel_right, _unpeel_right, src, tgt, trace)
+    return transpose_filling(fan_bijection(transpose_filling(f), k, k, 1, trace))
 
 
 def wedge_valley_bijection(
@@ -335,7 +293,7 @@ def wedge_valley_bijection(
     src_rule = _top_row_rule(source)
     tgt_rule = _top_row_rule(frozenset(target))
     _require_avoids(f, source)
-    return _run_rank_matched(f, _peel_top, _unpeel_top, src_rule, tgt_rule, trace)
+    return _run_rank_matched(f, src_rule, tgt_rule, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +307,14 @@ def direct_sum_transfer(
     ``inner.target (+) tail`` on the same board.
 
     Every board cell with an in-board occurrence of some tail pattern
-    strictly above and to its right is red, the rest blue; rows and columns
-    of blue 1s are deleted, the red remainder is squashed bottom-left into
-    a smaller Ferrers board (verified, not assumed), mapped with the inner
-    bijection, and the blue rows and columns are reinserted unchanged.  A
-    filling avoiding the tail everywhere is all blue and maps to itself.
+    strictly above and to its right is red, the rest blue.  The reference
+    walker lists the in-board tail occurrences once; a column's red cells
+    are the rows below the highest lowest row of an occurrence starting to
+    its right, up to the column's height.  Rows and columns of blue 1s are
+    deleted, the red remainder is squashed bottom-left into a smaller
+    Ferrers board (verified, not assumed), mapped with the inner bijection,
+    and the blue rows and columns are reinserted unchanged.  A filling
+    avoiding the tail everywhere is all blue and maps to itself.
     """
     tail = frozenset(tail)
     _require_avoids(f, set_direct_sum(inner.source, tail))
@@ -361,22 +322,18 @@ def direct_sum_transfer(
     m = len(board)
     if m == 0:
         return f
-    tail_sorted = sorted(tail)
-
-    def is_red(c: int, r: int) -> bool:
-        # project the filling onto the 1s strictly above and to the right
-        ne_rows = [v for v in rows[c:] if v > r]
-        ne_heights = [h for h, v in zip(board[c:], rows[c:]) if v > r]
-        return any(occurs(p, ne_rows, ne_heights) for p in tail_sorted)
-
-    # red cells form a bottom-left-closed region; per column they are the
-    # bottom run of rows, so only the run length is needed
-    red_top = []
-    for c in range(1, m + 1):
-        t = 0
-        while t < board[c - 1] and is_red(c, t + 1):
-            t += 1
-        red_top.append(t)
+    found: list[tuple[int, ...]] = []
+    for p in tail:
+        occurs(p, rows, board, found=found)
+    # cell (c, r) is red iff some occurrence starts right of column c with
+    # every row above r, so a column's red cells are the bottom run of rows
+    # below the highest lowest row among those occurrences; the empty
+    # pattern occurs above and right of every cell
+    red_top = [0] * m
+    for occ in found:
+        low = min((rows[i - 1] for i in occ), default=m + 1)
+        for c in range(occ[0] - 1 if occ else m):
+            red_top[c] = max(red_top[c], min(board[c], low - 1))
 
     surv_cols = [c for c in range(1, m + 1) if rows[c - 1] <= red_top[c - 1]]
     surv_col_set = set(surv_cols)

@@ -20,7 +20,9 @@ import csv
 import io
 from typing import Iterable, Iterator, NamedTuple
 
-from .perms import Perm, format_perm, make_perm, occurrence_ending_at, occurs, parse_perm
+from .perms import (
+    Perm, format_perm, inverse, make_perm, occurrence_ending_at, occurs, parse_perm,
+)
 
 Board = tuple[int, ...]
 
@@ -92,10 +94,6 @@ def cell_in_board(board: Board, column: int, row: int) -> bool:
     return 1 <= column <= len(board) and 1 <= row <= board[column - 1]
 
 
-def board_size(board: Board) -> int:
-    return sum(board)
-
-
 def staircase_board(n: int) -> Board:
     """(n, n-1, ..., 1), the minimal board admitting a (unique) filling."""
     return tuple(range(n, 0, -1))
@@ -126,7 +124,8 @@ def admits_filling(board: Board) -> bool:
 def enumerate_boards(n: int) -> list[Board]:
     """
     All boards with n columns admitting at least one filling, in
-    descending lexicographic order of heights; there are Catalan(n).
+    descending lexicographic order of heights; there are Catalan(n),
+    and for n = 0 the one empty board.
 
     >>> enumerate_boards(3)
     [(3, 3, 3), (3, 3, 2), (3, 3, 1), (3, 2, 2), (3, 2, 1)]
@@ -134,7 +133,7 @@ def enumerate_boards(n: int) -> list[Board]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        return []
+        return [()]
     out: list[Board] = []
     heights = [n]
 
@@ -205,6 +204,18 @@ def parse_filling(text: str) -> Filling:
 
 def format_filling(f: Filling) -> str:
     return f"{format_board(f.board)}/{format_perm(f.rows)}"
+
+
+def transpose_filling(f: Filling) -> Filling:
+    """
+    Reflect the filling in the diagonal: column heights become row
+    lengths, and the 1 in column c and row r moves to column r and row c.
+    A pattern p occurs in-board in f iff its inverse occurs in the result.
+
+    >>> transpose_filling(parse_filling("[3,3,1]/231"))
+    Filling(board=(3, 2, 2), rows=(3, 1, 2))
+    """
+    return Filling(board_from_row_lengths(f.board), inverse(f.rows))
 
 
 def filling_contains(f: Filling, p: Perm) -> bool:
@@ -302,6 +313,8 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
     [4, 4, 2, 2, 1]
     """
     counts = dict.fromkeys(enumerate_boards(n), 0)
+    if n == 0:
+        return {(): 1}  # the empty filling, as in ``fillings(())``
     patterns = sorted(set(avoid))
     rows: list[int] = []
     heights: list[int] = []

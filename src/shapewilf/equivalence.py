@@ -41,14 +41,6 @@ from .perms import (
 from .boards import Board, filling_counts
 
 
-@dataclass(frozen=True)
-class CountSequence:
-    """Counts of avoiders of one pattern set, indexed by n starting at 1."""
-
-    patterns: PatternSet
-    terms: tuple[int, ...]
-
-
 @dataclass
 class WilfRow:
     n: int
@@ -196,10 +188,6 @@ def count_avoiders_naive(patterns: Iterable[Perm], n: int) -> int:
     """Independent oracle: filter all of S_n by direct containment tests."""
     patterns = sorted(set(patterns))
     return sum(1 for w in all_perms(n) if avoids_all(patterns, w))
-
-
-def count_sequence(patterns: PatternSet, n_max: int) -> CountSequence:
-    return CountSequence(frozenset(patterns), tuple(avoider_counts(patterns, n_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,6 @@ def all_perms(n: int) -> Iterator[Perm]:
     return itertools.permutations(range(1, n + 1))
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def reverse(w: Perm) -> Perm:
     """
     >>> reverse((4, 5, 1, 2, 3))

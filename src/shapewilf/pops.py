@@ -114,6 +114,8 @@ def fan_pop(k: int, apex: int) -> Pop:
     >>> sorted(fan_pop(3, 1).relation)
     [(2, 1), (3, 1)]
     """
+    if k < 1:
+        raise ValueError(f"POP size must be >= 1, got {k}")
     if not 1 <= apex <= k:
         raise ValueError(f"apex {apex} out of range 1..{k}")
     return pop(k, [(j, apex) for j in range(1, k + 1) if j != apex])
@@ -124,6 +126,8 @@ def below_all_pop(k: int, bottom: int) -> Pop:
     One bottom position below all others, no other relations.  The size-3
     instance with bottom=2 is the valley POP, equivalent to {213, 312}.
     """
+    if k < 1:
+        raise ValueError(f"POP size must be >= 1, got {k}")
     if not 1 <= bottom <= k:
         raise ValueError(f"bottom {bottom} out of range 1..{k}")
     return pop(k, [(bottom, j) for j in range(1, k + 1) if j != bottom])

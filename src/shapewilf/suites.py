@@ -57,16 +57,16 @@ class SuiteOptions:
     n_wilf: Optional[int] = None       # default 9 (8 for the corollary suite)
     n_shape: Optional[int] = None      # default 6
     n_bijection: Optional[int] = None  # default 5
-    n_oeis: Optional[int] = None       # default 9
+    n_oeis: Optional[int] = None       # default 9; align_and_compare needs 3
     offline: bool = False
     cache_dir: Optional[str] = None
     time_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("n_wilf", "n_shape", "n_bijection", "n_oeis"):
+        for name, least in (("n_wilf", 1), ("n_shape", 1), ("n_bijection", 1), ("n_oeis", 3)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _size(value: Optional[int], default: int) -> int:

@@ -1,16 +1,21 @@
 """The four constructive bijections and the verification harness."""
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shapewilf.perms import parse_pattern_set, parse_perm
+from shapewilf.perms import inverse, parse_pattern_set, parse_perm
 from shapewilf.pops import below_all_pop, fan_pop, pop_to_pattern_set
 from shapewilf.boards import (
     Filling,
     enumerate_boards,
     filling_avoids_all,
+    filling_contains,
     filling_from_permutation,
     fillings,
+    make_filling,
     square_board,
     staircase_board,
+    transpose_filling,
 )
 from shapewilf.bijections import (
     BijectionError,
@@ -57,6 +62,35 @@ def test_fan_round_trip_identity():
             for f in fillings(board, pop_to_pattern_set(fan_pop(3, 2))):
                 g = fan_bijection(f, 3, 2, 1)
                 assert fan_bijection(g, 3, 1, 2) == f
+
+
+def draw_filling(data, avoid=()):
+    """A random filling avoiding ``avoid`` on a random board with n <= 6."""
+    board = data.draw(st.sampled_from(enumerate_boards(data.draw(st.integers(0, 6)))))
+    avoiders = list(fillings(board, avoid))
+    assume(avoiders)
+    return data.draw(st.sampled_from(avoiders))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fan_maps_with_swapped_apexes_are_mutual_inverses(data):
+    k = data.draw(st.integers(2, 4))
+    a, b = data.draw(st.integers(1, k)), data.draw(st.integers(1, k))
+    f = draw_filling(data, pop_to_pattern_set(fan_pop(k, a)))
+    assert fan_bijection(fan_bijection(f, k, a, b), k, b, a) == f
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_transpose_inverts_every_in_board_pattern(data):
+    # the lemma behind fan_to_bottom_last, checked with the reference walker
+    f = draw_filling(data)
+    p = tuple(data.draw(st.permutations(range(1, data.draw(st.integers(1, 4)) + 1))))
+    t = transpose_filling(f)
+    assert transpose_filling(t) == f
+    assert make_filling(*t) == t
+    assert filling_contains(t, inverse(p)) == filling_contains(f, p)
 
 
 @pytest.mark.parametrize("apexes", [(1, 2), (1, 3), (2, 3), (3, 1), (2, 1), (3, 2)])
@@ -187,6 +221,24 @@ def test_transfer_verifies():
     oracle = transfer_oracle(fan_oracle(3, 3, 1), parse_pattern_set("{12}"))
     report = verify_bijection(oracle, 5)
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("inner, tail", [
+    (fan_oracle(3, 1, 2), "{21}"),
+    (fan_oracle(3, 2, 3), "{132}"),
+])
+def test_transfer_verifies_with_tails_that_can_leave_the_board(inner, tail):
+    # unlike {12}, these tails have occurrences whose top-right corner lies
+    # outside the board; those must not colour any cell red
+    report = verify_bijection(transfer_oracle(inner, parse_pattern_set(tail)), 5)
+    assert report.ok, report.describe()
+
+
+def test_transfer_with_the_empty_tail_is_the_inner_map():
+    # the empty pattern occurs everywhere, so every cell is red
+    inner = fan_oracle(3, 3, 1)
+    for f in fillings(square_board(4), inner.source):
+        assert direct_sum_transfer(f, {()}, inner) == inner.apply(f)
 
 
 def test_transfer_precondition_violation():

@@ -116,7 +116,7 @@ def test_enumerate_boards_small():
         (3, 2, 2),
         (3, 2, 1),
     ]
-    for n in range(1, 9):
+    for n in range(0, 9):
         assert len(enumerate_boards(n)) == catalan(n)
 
 
@@ -262,9 +262,12 @@ def test_filling_counts_without_patterns_match_the_formula():
 
 
 def test_filling_counts_keys_are_the_boards_in_order():
+    # the empty board's one filling is empty, so it avoids every pattern
+    assert filling_counts(0, {(1,)}) == {(): 1}
     for n in range(0, 7):
         assert list(filling_counts(n, {(1, 2)})) == enumerate_boards(n)
-        # every filling contains the pattern 1: each board is kept with 0
+    for n in range(1, 7):
+        # every nonempty filling contains the pattern 1: each board is kept with 0
         zeros = filling_counts(n, {(1,)})
         assert list(zeros) == enumerate_boards(n)
         assert set(zeros.values()) <= {0}

@@ -89,11 +89,18 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         ("suite", "main-conjecture", "--n-wilf", "0"),
         ("suite", "main-conjecture", "--n-bijection", "-1"),
         ("suite", "conjecture-13452", "--n-oeis", "0"),
+        ("suite", "all", "--n-oeis", "2"),
+        ("bijection", "fan-bottom-last", "--k", "0", "--verify", "2"),
+        ("bijection", "fan", "--k", "-3", "--source-apex", "1", "--target-apex", "3",
+         "--verify", "2"),
     ]:
         code, out, err = run(capsys, "--offline", *argv)
         assert code == 2, argv
         assert out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        k = argv[argv.index("--k") + 1] if "--k" in argv else "1"
+        if int(k) < 1:  # the error names the bad size, not the apex
+            assert err == f"error: POP size must be >= 1, got {k}\n", argv
 
 
 N = object()  # stands for a size drawn by the property below
