@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .perms import (
-    Perm, format_perm, inverse, make_perm, occurrence_ending_at, occurs, parse_perm,
+    Perm, PrefixTable, anchored_intervals, format_perm, inverse, make_perm, occurs,
+    parse_perm, prefix_table,
 )
 
 Board = tuple[int, ...]
@@ -235,12 +236,40 @@ def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
     return not any(filling_contains(f, p) for p in patterns)
 
 
+def child_blocks(table: PrefixTable, blocks: list[int], rows: Sequence[int]) -> list[int]:
+    """
+    The frontier of a partial filling in the board walks: entry r is the
+    least highest row of an occurrence of a prefix of the table whose
+    open interval (A, B) holds r, and the top row n + 1 (the last index)
+    when there is none.  Rows never shift, so a new column's occurrences
+    only lower the parent's entries; ``blocks`` is the parent's frontier
+    and ``rows`` the partial filling with the new column last.  The root
+    is ``child_blocks(table, [n + 1] * (n + 2), ())``.
+
+    A pattern then occurs in-board with its last entry in a next column
+    holding row r exactly when that column's height is at least
+    max(blocks[r], r), the highest row of the cheapest occurrence.
+
+    >>> table = prefix_table({(1, 2)})
+    >>> child_blocks(table, child_blocks(table, [4] * 5, ()), (2,))
+    [4, 4, 4, 2, 4]
+    """
+    top = len(blocks) - 1
+    blocks = blocks[:]
+    for a, b, high in anchored_intervals(table, rows, top):
+        for r in range(a + 1, b):
+            if high < blocks[r]:
+                blocks[r] = high
+    return blocks
+
+
 def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
     """
     All fillings of the board avoiding every pattern in ``avoid``,
-    generated column by column (left to right), rows ascending.
-    Avoidance is checked incrementally on each placed 1 by the engine
-    kernel ``perms.occurrence_ending_at``, capped by the column's height.
+    generated column by column (left to right), rows ascending.  Each
+    partial filling carries its frontier (see ``child_blocks``), so a
+    column of height h takes exactly the unused rows r <= h whose
+    frontier entry is above h.
 
     >>> [f.rows for f in fillings((3, 2, 1))]
     [(3, 2, 1)]
@@ -253,29 +282,25 @@ def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
         return
     if board[0] != m:
         return
-    patterns = sorted(set(avoid))
+    table = prefix_table(avoid)
     rows: list[int] = []
     used = [False] * (m + 1)
 
-    def place(c: int) -> Iterator[Filling]:
-        if c == m:
-            yield Filling(board, tuple(rows))
-            return
+    def place(c: int, blocks: list[int]) -> Iterator[Filling]:
         h = board[c]
         for r in range(1, h + 1):
-            if used[r]:
+            if used[r] or blocks[r] <= h:
                 continue
-            for p in patterns:
-                if occurrence_ending_at(p, rows, r, h):
-                    break
+            rows.append(r)
+            if c + 1 == m:
+                yield Filling(board, tuple(rows))
             else:
-                rows.append(r)
                 used[r] = True
-                yield from place(c + 1)
+                yield from place(c + 1, child_blocks(table, blocks, rows))
                 used[r] = False
-                rows.pop()
+            rows.pop()
 
-    yield from place(0)
+    yield from place(0, child_blocks(table, [m + 1] * (m + 2), ()))
 
 
 def count_fillings(board: Board, avoid: Iterable[Perm] = ()) -> int:
@@ -303,9 +328,9 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
       (it must fit in a later column, and no later column is taller);
       this keeps the i-th column from the right at least i tall, so every
       board reached is one of ``enumerate_boards(n)``;
-    - the engine kernel's in-board test is monotone in the cap (a taller
-      column allows more occurrences), so the top is found by lowering
-      the cap from H until no pattern occurs.
+    - the top is H, or one below max(blocks[r], r) if that is lower: the
+      partial filling's frontier (see ``child_blocks``) holds the least
+      height at which some pattern would occur in-board.
 
     >>> filling_counts(3)
     {(3, 3, 3): 6, (3, 3, 2): 4, (3, 3, 1): 2, (3, 2, 2): 2, (3, 2, 1): 1}
@@ -315,12 +340,12 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
     counts = dict.fromkeys(enumerate_boards(n), 0)
     if n == 0:
         return {(): 1}  # the empty filling, as in ``fillings(())``
-    patterns = sorted(set(avoid))
+    table = prefix_table(avoid)
     rows: list[int] = []
     heights: list[int] = []
     used = [False] * (n + 1)
 
-    def place(cap: int) -> None:
+    def place(cap: int, blocks: list[int]) -> None:
         for r in range(1, cap + 1):
             if used[r]:
                 continue
@@ -329,22 +354,21 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
             while rest and used[rest]:
                 rest -= 1
             floor = max(r, rest)
-            top = cap
-            for p in patterns:
-                while top >= floor and occurrence_ending_at(p, rows, r, top):
-                    top -= 1
-            rows.append(r)
-            for h in range(floor, top + 1):
-                heights.append(h)
-                if rest:
-                    place(h)
-                else:
-                    counts[tuple(heights)] += 1
-                heights.pop()
-            rows.pop()
+            top = min(cap, max(blocks[r], r) - 1)
+            if top >= floor:
+                rows.append(r)
+                child = child_blocks(table, blocks, rows) if rest else None
+                for h in range(floor, top + 1):
+                    heights.append(h)
+                    if rest:
+                        place(h, child)
+                    else:
+                        counts[tuple(heights)] += 1
+                    heights.pop()
+                rows.pop()
             used[r] = False
 
-    place(n)
+    place(n, child_blocks(table, [n + 1] * (n + 2), ()))
     return counts
 
 

@@ -11,12 +11,17 @@ avoider of length n arises exactly once by appending a last entry
 r in 1..n to an avoider of length n-1 and shifting the values >= r up by
 one: deleting the last entry and standardizing preserves avoidance, and
 it undoes the append.  So only occurrences ending at the new last entry
-need testing, which is the engine kernel ``perms.occurrence_ending_at``
-with the cap at n; filling enumeration runs the same kernel with the cap
-at each column's height, and ``boards.filling_counts`` counts every
-board of one size in a single walk over column heights.  The walks keep
-one root-to-leaf path, so their memory is O(n) whatever n is.  All
-counts are exact Python integers, so there is no overflow to detect.
+need testing.  Each node carries them as a frontier: the bitmask of the
+appended values r that would complete a pattern (``child_forbidden``).
+A child inherits its parent's mask, shifted with its values, and adds
+the intervals that the anchored prefix search
+``perms.anchored_intervals`` reports for the prefix occurrences ending at
+its own last entry.  The children are the clear bits, so the last level
+is counted from its parents without being visited.  The board walks of
+``boards.fillings`` and ``boards.filling_counts`` carry the same frontier
+over absolute rows.  The walks keep one root-to-leaf path, so their
+memory is O(n^2) whatever n is.  All counts are exact Python integers, so
+there is no overflow to detect.
 """
 from __future__ import annotations
 
@@ -27,11 +32,13 @@ from typing import Iterable, Optional
 from .perms import (
     PatternSet,
     Perm,
+    PrefixTable,
     all_perms,
+    anchored_intervals,
     avoids_all,
     format_pattern_set,
-    occurrence_ending_at,
     parse_perm,
+    prefix_table,
     set_apply_ops,
     set_complement,
     set_direct_sum,
@@ -88,35 +95,63 @@ class EquivalenceReport:
 # ---------------------------------------------------------------------------
 # avoider generation
 
-# Memory stays O(n): the cap bounds the time of the level running at the end.
+# Memory stays O(n^2): the cap bounds the time of the level running at the end.
 BUDGET_CAP = 14
+
+
+def child_forbidden(table: PrefixTable, forbidden: int, child: Perm) -> int:
+    """
+    The frontier of ``child`` in the avoider tree: bit r is set iff
+    appending r to the child, shifting its values >= r up, completes a
+    pattern of the table at the new entry.  ``forbidden`` is the parent's
+    frontier and the child was made by appending its last entry to the
+    parent; the root is ``child_forbidden(table, 0, ())``.
+
+    The shift maps an occurrence's interval (A, B] onto the child's: bits
+    below the appended r stay, bit r is doubled and the bits above move
+    up one.  Then each prefix occurrence ending at the new entry adds its
+    interval.
+
+    >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
+    >>> root = child_forbidden(table, 0, ())
+    >>> bin(child_forbidden(table, child_forbidden(table, root, (1,)), (1, 2)))
+    '0b1100'
+    """
+    if child:
+        r = child[-1]
+        forbidden = forbidden & ((2 << r) - 1) | forbidden >> r << r + 1
+    for a, b, _ in anchored_intervals(table, child, len(child) + 1):
+        forbidden |= (2 << b) - (2 << a)
+    return forbidden
 
 
 def _extension_walk(
     patterns: Iterable[Perm], n_max: int, leaves: Optional[list] = None
 ) -> list[int]:
     """Counts of avoiders for n = 1..n_max, by one depth-first walk of the
-    extension tree; the avoiders of length n_max go into ``leaves``."""
+    extension tree; the avoiders of length n_max go into ``leaves``.  A
+    node's children are the clear bits of its frontier, so the last level
+    is counted from its parents' frontiers, and listed only for leaves."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    patterns = sorted(set(patterns))
+    table = prefix_table(patterns)
     counts = [0] * n_max
 
-    def grow(w: Perm) -> None:
+    def grow(w: Perm, forbidden: int) -> None:
         n = len(w) + 1
-        for r in range(1, n + 1):
-            for p in patterns:
-                if occurrence_ending_at(p, w, r, n):
-                    break
+        free = [r for r in range(1, n + 1) if not forbidden >> r & 1]
+        counts[n - 1] += len(free)
+        if n == n_max and leaves is None:
+            return
+        for r in free:
+            child = tuple(v + 1 if v >= r else v for v in w) + (r,)
+            if n < n_max:
+                grow(child, child_forbidden(table, forbidden, child))
             else:
-                counts[n - 1] += 1
-                if n < n_max:
-                    grow(tuple(v + 1 if v >= r else v for v in w) + (r,))
-                elif leaves is not None:
-                    leaves.append(tuple(v + 1 if v >= r else v for v in w) + (r,))
+                leaves.append(child)
 
     if n_max:
-        grow(())
+        grow((), child_forbidden(table, 0, ()))
     elif leaves is not None:
         leaves.append(())
     return counts

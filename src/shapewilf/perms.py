@@ -209,8 +209,24 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # Both searches choose pattern positions left to right with pruning: by
 # order-isomorphism, the value at pattern position j is bounded only by the
 # values chosen for its nearest smaller and nearest larger entries among
-# positions < j.  The engine kernel drives the generators; the reference
-# walker is what they are checked against, so the two share nothing else.
+# positions < j.  The anchored prefix search drives the generators; the
+# reference walker is what they are checked against, so the two share
+# nothing else.
+#
+# Both generators grow a word one last entry at a time, and a pattern p
+# occurs ending at a new last entry r exactly when some occurrence of its
+# prefix q = std(p[:-1]) lies to the left with r between the entries that
+# play p_k - 1 and p_k + 1.  So each node of a walk keeps a frontier, the
+# new entries that would complete a pattern: the anchored search lists
+# only the prefix occurrences ending at the node's own last entry, and the
+# rest are inherited from the parent's frontier.
+
+# one prefix: q, then per free position j < len(q) - 1 its tight refs and
+# whether q_j lies below the anchored last entry, then the patterns' ends
+PrefixTable = tuple[
+    tuple[Perm, tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]], ...
+]
+
 
 @lru_cache(maxsize=None)
 def _tight_refs(p: Perm) -> tuple[tuple[int, int], ...]:
@@ -226,54 +242,105 @@ def _tight_refs(p: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(refs)
 
 
-def occurrence_ending_at(p: Perm, rows: Sequence[int], r: int, cap: int) -> bool:
+def prefix_table(patterns: Iterable[Perm]) -> PrefixTable:
     """
-    Engine kernel of the avoider tree and of filling enumeration: does p
-    occur with its last entry in a new column appended after ``rows``,
-    holding its 1 at row r, and with every chosen row at most ``cap``?
+    The patterns grouped by standardized prefix q = std(p[:-1]).  Each
+    pattern p with prefix q is given by the positions in q of the entries
+    that play p_k - 1 and p_k + 1, or -1 where p_k is the least or the
+    greatest value.  The empty pattern is grouped with the patterns of
+    length 1: every nonempty word contains both.
 
-    Existing rows >= r count as above the new entry.  A filling never
-    repeats a row, and a permutation child made by appending r shifts
-    those values up by one, so both generators pass their rows unchanged.
-
-    >>> occurrence_ending_at((1, 2), (2, 1), 2, 3)  # the child 312
-    True
-    >>> occurrence_ending_at((1, 2), (2, 1), 1, 3)  # the child 321
-    False
-    >>> occurrence_ending_at((2, 1), (3,), 1, 2)    # corner row 3 > cap 2
-    False
+    >>> [(q, ends) for q, _, ends in prefix_table({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)})]
+    [((1, 2, 3, 4), ((2, 3), (3, -1)))]
     """
-    k, n = len(p), len(rows)
-    if r > cap or n < k - 1:
-        return False
-    if k <= 1:
-        return True
-    refs = _tight_refs(p)
-    pk = p[-1]
-    top = cap + 1
-    chosen = [0] * (k - 1)
+    groups: dict[Perm, set[tuple[int, int]]] = {}
+    for p in set(patterns):
+        head = p[:-1]
+        last = p[-1] if p else 1
+        q = tuple(v - (v > last) for v in head)
+        below = head.index(last - 1) if last - 1 in head else -1
+        above = head.index(last + 1) if last + 1 in head else -1
+        groups.setdefault(q, set()).add((below, above))
+    return tuple(
+        (
+            q,
+            tuple((*ref, q[j] < q[-1]) for j, ref in enumerate(_tight_refs(q)[:-1])),
+            tuple(sorted(ends)),
+        )
+        for q, ends in sorted(groups.items())
+    )
 
-    def walk(j: int, start: int) -> bool:
-        if j == k - 1:
-            return True
-        lo, hi = refs[j]
+
+def anchored_intervals(
+    table: PrefixTable, rows: Sequence[int], top: int
+) -> list[tuple[int, int, int]]:
+    """
+    Engine kernel of both generators.  For every occurrence of a prefix
+    q in ``rows`` that ends at the last entry (in the empty word, the
+    empty occurrence) and every pattern p with that prefix: (A, B, high),
+    where A and B are the values of the entries that play p_k - 1 and
+    p_k + 1 (0 and ``top`` when there is none) and high is the
+    occurrence's highest value (0 when empty).
+
+    A new last entry completes p after that occurrence exactly when it
+    lies between A and B: in the open interval (A, B) when values are
+    absolute rows, in (A, B] when appending r shifts the values >= r up.
+
+    >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
+    >>> anchored_intervals(table, (1, 2), 3)  # the children 132 and 123
+    [(1, 2, 2), (2, 3, 2)]
+    >>> anchored_intervals(table, (2, 1), 3)
+    []
+    """
+    out: list[tuple[int, int, int]] = []
+    n = len(rows)
+    if n == 0:
+        for q, _, ends in table:
+            if not q:
+                out.extend((0, top, 0) for _ in ends)
+        return out
+    anchor = rows[-1]
+
+    # emit and walk read the bounds, ends, k and chosen of the prefix that
+    # the loop at the end is searching for
+    def emit(high: int) -> None:
+        for below, above in ends:
+            out.append((
+                chosen[below] if below >= 0 else 0,
+                chosen[above] if above >= 0 else top,
+                high,
+            ))
+
+    def walk(j: int, start: int, high: int) -> None:
+        lo, hi, under = bounds[j]
         lov = chosen[lo] if lo >= 0 else 0
         hiv = chosen[hi] if hi >= 0 else top
-        # fold in the comparison against the new last entry
-        if p[j] < pk:
-            if r < hiv:
-                hiv = r
-        elif r - 1 > lov:
-            lov = r - 1
-        for i in range(start, n - (k - 2 - j)):
+        # fold in the comparison against the anchored last entry
+        if under:
+            if anchor < hiv:
+                hiv = anchor
+        elif anchor > lov:
+            lov = anchor
+        for i in range(start, n - k + j + 1):
             v = rows[i]
             if lov < v < hiv:
                 chosen[j] = v
-                if walk(j + 1, i + 1):
-                    return True
-        return False
+                if j == k - 2:
+                    emit(v if v > high else high)
+                else:
+                    walk(j + 1, i + 1, v if v > high else high)
 
-    return walk(0, 0)
+    for q, bounds, ends in table:
+        k = len(q)
+        if k == 0 or n < k:
+            continue
+        chosen = [0] * k
+        chosen[-1] = anchor
+        if k == 1:
+            emit(anchor)
+        else:
+            walk(0, 0, anchor)
+    return out
 
 
 def occurs(
@@ -286,9 +353,9 @@ def occurs(
     Reference walker: does p occur in the row sequence?  With per-column
     ``heights`` the occurrence must also be in-board: the top-right corner
     (last chosen column, highest chosen row) lies under that column's
-    height.  With ``found`` an empty list, the walk does not stop at the
-    first occurrence: it appends every one to ``found`` as a 1-based index
-    tuple, in lexicographic order.
+    height.  With a ``found`` list, the walk does not stop at the first
+    occurrence: it appends every one to ``found`` as a 1-based index
+    tuple, in lexicographic order, and reports whether it appended any.
 
     >>> occurs((1, 2), (2, 1, 3))
     True
@@ -297,6 +364,8 @@ def occurs(
     >>> hits = []
     >>> occurs((1, 2), (2, 1, 3), found=hits), hits
     (True, [(1, 3), (2, 3)])
+    >>> occurs((2, 1), (1, 2), found=hits)
+    False
     """
     k, n = len(p), len(rows)
     if k == 0:
@@ -305,6 +374,7 @@ def occurs(
         return True
     if k > n:
         return False
+    hits = len(found) if found is not None else 0
     refs = _tight_refs(p)
     top = max(rows) + 1
     idxs = [0] * k
@@ -329,7 +399,7 @@ def occurs(
                     found.append(tuple(idxs))
         return False
 
-    return walk(0, 0, 0) or bool(found)
+    return walk(0, 0, 0) or (found is not None and len(found) > hits)
 
 
 def contains(p: Perm, w: Perm) -> bool:

@@ -149,13 +149,13 @@ def test_time_budget_zero_keeps_n_rows(capsys):
 
 
 def test_time_budget_starts_no_level_it_cannot_finish(capsys):
-    # the n=9 hub count costs several times the n=8 one, far above 0.5 s
+    # the n=10 hub count costs about 7 times the n=9 one, far above 0.5 s
     code, out, _ = run(
         capsys, "--time-budget", "0.5", "--format", "csv",
-        "count-av", "--set", "{12345,12354}", "--n", "8",
+        "count-av", "--set", "{12345,12354}", "--n", "9",
     )
     assert code == 0
-    assert len(out.splitlines()[1:]) == 8
+    assert len(out.splitlines()[1:]) == 9
 
 
 def test_time_budget_extends_counts_up_to_the_cap(capsys):
@@ -346,3 +346,51 @@ def test_suite_labels(capsys):
     assert code == 0
     for line in out.splitlines():
         assert json.loads(line)["label"] == "EVIDENCE"
+
+
+# the last option of each command takes a text drawn by the property below
+TEXT_COMMANDS = [
+    ("count-av", "--n", "4", "--set="),
+    ("oeis", "compare", "--n", "4", "--set="),
+    ("check", "wilf", "--right={12}", "--n", "4", "--left="),
+    ("check", "shape-wilf", "--left={21}", "--n", "3", "--right="),
+    ("fillings", "--board="),
+    ("fillings", "--count-only", "--board="),
+    ("fillings", "--board=[3,3,2]", "--avoid="),
+    ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
+     "--filling="),
+    ("bijection", "wedge-valley", "--target={213,312}", "--filling=[3,3,3]/321",
+     "--source="),
+    ("bijection", "transfer", "--source={123,213}", "--target={312,321}",
+     "--filling=[4,4,4,4]/4321", "--tail="),
+    ("bijection", "transfer", "--source={123,213}", "--target={312,321}",
+     "--tail={12}", "--filling="),
+]
+
+# near-valid notation, short texts from the notations' own alphabet, and
+# any text at all; the size bounds keep every board and pattern cheap to run
+WORDS = (st.lists(st.integers(min_value=0, max_value=5), max_size=5)
+         | st.integers(min_value=1, max_value=5).flatmap(
+             lambda k: st.permutations(list(range(1, k + 1))))
+         ).map(lambda vs: "".join(map(str, vs)))
+SET_TEXTS = st.lists(WORDS, max_size=3).map(lambda ws: "{" + ",".join(ws) + "}")
+BOARD_TEXTS = st.lists(st.integers(min_value=-1, max_value=5), max_size=5).map(
+    lambda hs: "[" + ",".join(map(str, hs)) + "]")
+FILLING_TEXTS = st.tuples(BOARD_TEXTS, WORDS).map("/".join)
+TEXTS = (SET_TEXTS | BOARD_TEXTS | FILLING_TEXTS
+         | st.text(alphabet="0123456789{},[]/; <-", max_size=12) | st.text(max_size=8))
+
+
+@given(st.sampled_from(TEXT_COMMANDS), TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_every_text_option_exits_0_1_or_2(command, text):
+    # "--opt=text" keeps argparse from reading a text such as "-1" as a flag
+    argv = [*command[:-1], command[-1] + text]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--offline", *argv])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv

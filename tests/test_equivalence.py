@@ -1,16 +1,21 @@
 """Counting engines, equivalence tables, symmetry machinery."""
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapewilf.perms import parse_pattern_set
 from shapewilf.boards import square_board, count_fillings
+from shapewilf import equivalence
 from shapewilf.equivalence import (
+    BUDGET_CAP,
     ExpressionError,
     avoider_counts,
     avoiders,
     count_avoiders,
     count_avoiders_naive,
+    counts_within_budget,
     evaluate_set_expression,
     find_shape_wilf_divergence,
     shape_wilf_table,
@@ -185,3 +190,34 @@ def test_shape_wilf_full_table_no_fail_fast():
     )
     assert not report.equal
     assert len(report.rows) == 1 + 2 + 5 + 14
+
+
+def test_budget_starts_a_level_only_if_its_projection_fits(monkeypatch):
+    # a stub clock and a stub count whose level n costs 2^n ms, so the
+    # growth of the counts (2^(n-1)) projects the next level exactly
+    clock = [0.0]
+    calls = []
+
+    def counts(patterns, n):
+        calls.append(n)
+        clock[0] += 2 ** n / 1000
+        return [2 ** i for i in range(n)]
+
+    monkeypatch.setattr(equivalence, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(equivalence, "avoider_counts", counts)
+
+    def run(n, budget):
+        calls.clear()
+        clock[0] = 0.0
+        return counts_within_budget(HUB, n, budget)
+
+    assert len(run(3, None)) == 3 and calls == [3]
+    assert len(run(3, 0)) == 3 and calls == [3]
+    # level 4 alone costs 16 ms
+    assert len(run(3, 0.015)) == 3 and calls == [3]
+    # the levels 4 and 5 cost 16 + 32 ms; level 6 would end 112 ms after
+    # the budget started
+    assert len(run(3, 0.1)) == 5 and calls == [3, 4, 5]
+    assert clock[0] - 2 ** 3 / 1000 <= 0.1
+    assert len(run(3, 0.113)) == 6 and calls == [3, 4, 5, 6]
+    assert len(run(3, 1e9)) == BUDGET_CAP and calls == list(range(3, BUDGET_CAP + 1))

@@ -16,22 +16,32 @@ from shapewilf.perms import (
     format_perm,
     inverse,
     make_perm,
-    occurrence_ending_at,
     occurrences,
+    occurs,
     parse_pattern_set,
     parse_perm,
     pattern_occurrences,
+    prefix_table,
     reverse,
     set_apply_ops,
     set_direct_sum,
     set_reverse,
 )
+from shapewilf.equivalence import child_forbidden
+from shapewilf.boards import child_blocks
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
 patterns = st.integers(min_value=1, max_value=3).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+)
+pattern_sets = st.frozensets(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    min_size=1,
+    max_size=3,
 )
 # a filling w of 1..n and per-column slack: see board_over
 fillings_with_slack = st.integers(min_value=1, max_value=7).flatmap(
@@ -120,36 +130,73 @@ def test_symmetries_preserve_occurrence_counts(p, w):
     assert pattern_occurrences(inverse(p), inverse(w)) == base
 
 
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
-    ),
-    fillings_with_slack,
-    st.integers(min_value=1, max_value=7),
-)
+def standardize(u):
+    return tuple(sorted(u).index(v) + 1 for v in u)
+
+
+@given(pattern_sets, fillings_with_slack, st.integers(min_value=1, max_value=7))
 @settings(max_examples=300)
-def test_engine_kernel_matches_brute_force_in_board(p, filling, column):
+def test_engine_kernel_matches_brute_force_in_board(patterns, filling, column):
+    # the board walk's frontier, replayed from the root over the first
+    # column - 1 columns of w, against every next row r and every height
     w, slack = filling
+    n = len(w)
     heights = board_over(w, slack)
-    column = min(column, len(w))
-    # in-board: every cell of the k x k submatrix grid lies in the board
-    expected = any(
-        occ[-1] == column
-        and all(w[i - 1] <= heights[j - 1] for i in occ for j in occ)
-        for occ in brute_occurrences(p, w[:column])
-    )
-    got = occurrence_ending_at(p, w[: column - 1], w[column - 1], heights[column - 1])
-    assert got == expected
+    column = min(column, n)
+    prefix = w[: column - 1]
+    table = prefix_table(patterns)
+    blocks = child_blocks(table, [n + 1] * (n + 2), ())
+    for c in range(1, column):
+        blocks = child_blocks(table, blocks, w[:c])
+    # a later column is no taller than the one before it
+    tallest = heights[column - 2] if column > 1 else n
+    for r in sorted(set(range(1, n + 1)) - set(prefix)):
+        rows = prefix + (r,)
+        for cap in range(r, tallest + 1):
+            board = heights[: column - 1] + (cap,)
+            # in-board: every cell of the k x k submatrix grid lies in the board
+            expected = any(
+                occ[-1] == column
+                and all(rows[i - 1] <= board[j - 1] for i in occ for j in occ)
+                for p in patterns
+                for occ in brute_occurrences(p, rows)
+            )
+            assert (max(blocks[r], r) <= cap) == expected
+            # the reference walker's corner test, with no room left of the
+            # last column, sees only occurrences ending there
+            corner = (0,) * (column - 1) + (cap,)
+            assert expected == any(occurs(p, rows, corner) for p in patterns)
 
 
-@given(patterns, perms, st.integers(min_value=1, max_value=7))
+@given(pattern_sets, perms)
 @settings(max_examples=150)
-def test_engine_kernel_on_an_appended_last_entry(p, w, r):
+def test_engine_kernel_on_an_appended_last_entry(patterns, w):
+    # the avoider tree's frontier, replayed from the root along w's
+    # prefixes, forbids r exactly when appending r completes a pattern
+    table = prefix_table(patterns)
+    forbidden = child_forbidden(table, 0, ())
+    for i in range(1, len(w) + 1):
+        forbidden = child_forbidden(table, forbidden, standardize(w[:i]))
     n = len(w) + 1
-    r = min(r, n)
-    child = tuple(v + 1 if v >= r else v for v in w) + (r,)
-    expected = any(occ[-1] == n for occ in brute_occurrences(p, child))
-    assert occurrence_ending_at(p, w, r, n) == expected
+    assert forbidden >> n + 1 == 0
+    w_avoids = not any(occurs(p, w) for p in patterns)
+    for r in range(1, n + 1):
+        child = tuple(v + 1 if v >= r else v for v in w) + (r,)
+        expected = any(
+            occ[-1] == n for p in patterns for occ in brute_occurrences(p, child)
+        )
+        assert bool(forbidden >> r & 1) == expected
+        if w_avoids:
+            assert expected == any(occurs(p, child) for p in patterns)
+
+
+def test_occurs_reports_only_the_hits_of_its_own_call():
+    hits = [(1, 2)]
+    assert not occurs((2, 1), (1, 2), found=hits)
+    assert hits == [(1, 2)]
+    assert occurs((1, 2), (1, 2), found=hits)
+    assert hits == [(1, 2), (1, 2)]
+    assert not occurs((1, 2, 3), (1, 2), found=hits)
 
 
 def test_direct_sum_worked_example():

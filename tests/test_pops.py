@@ -89,6 +89,27 @@ def test_pop_notation_roundtrip():
         parse_pop("3; 1-2")
 
 
+POP_TEXTS = (
+    st.tuples(
+        st.integers(min_value=-1, max_value=5),
+        st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)), max_size=3),
+    ).map(lambda kp: f"{kp[0]}; " + ", ".join(f"{a}<{b}" for a, b in kp[1]))
+    | st.text(alphabet="0123456789;<, -", max_size=12)
+    | st.text(max_size=8)
+)
+
+
+@given(POP_TEXTS)
+@settings(max_examples=300)
+def test_fuzzed_pop_text_parses_or_raises_value_error(text):
+    # the CLI reads no POP text, so the parser is fuzzed directly
+    try:
+        p = parse_pop(text)
+    except ValueError:
+        return
+    assert parse_pop(format_pop(p)) == p
+
+
 @given(small_pops, perms)
 @settings(max_examples=150)
 def test_pop_count_is_sum_over_pattern_set(kp, w):
