@@ -39,7 +39,7 @@ from .boards import (
     Filling,
     filling_avoids_all,
     filling_counts,
-    fillings,
+    fillings_by_board,
     format_filling,
     make_filling,
     transpose_filling,
@@ -299,6 +299,9 @@ def wedge_valley_bijection(
 # ---------------------------------------------------------------------------
 # direct sum transfer
 
+_summed = lru_cache(maxsize=None)(set_direct_sum)  # each inner (+) tail built once
+
+
 def direct_sum_transfer(
     f: Filling, tail: PatternSet, inner: BijectionOracle, trace: Trace = None
 ) -> Filling:
@@ -317,7 +320,7 @@ def direct_sum_transfer(
     avoiding the tail everywhere is all blue and maps to itself.
     """
     tail = frozenset(tail)
-    _require_avoids(f, set_direct_sum(inner.source, tail))
+    _require_avoids(f, _summed(frozenset(inner.source), tail))
     board, rows = f
     m = len(board)
     if m == 0:
@@ -408,8 +411,8 @@ def transfer_oracle(inner: BijectionOracle, tail: PatternSet) -> BijectionOracle
     tail = frozenset(tail)
     return BijectionOracle(
         name=f"transfer[{inner.name}] (+) {format_pattern_set(tail)}",
-        source=set_direct_sum(inner.source, tail),
-        target=set_direct_sum(inner.target, tail),
+        source=_summed(frozenset(inner.source), tail),
+        target=_summed(frozenset(inner.target), tail),
         apply=lambda f, trace=None: direct_sum_transfer(f, tail, inner, trace),
     )
 
@@ -455,8 +458,9 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     Exhaustively check the oracle on every board with up to n_max columns:
     inputs avoid the source set, outputs stay on the same board and avoid
     the target set, the map is injective per board, and source/target
-    counts agree (surjectivity).  Stops at the first violation.  The
-    target counts of each level come from one ``filling_counts`` walk.
+    counts agree (surjectivity).  Stops at the first violation.  Each
+    level streams its sources board by board from one ``fillings_by_board``
+    walk and takes its target counts from one ``filling_counts`` walk.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
@@ -464,11 +468,12 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     source = sorted(oracle.source)
     target = sorted(oracle.target)
     for n in range(1, n_max + 1):
-        for board, target_count in filling_counts(n, target).items():
+        target_counts = filling_counts(n, target)
+        for board, listed in fillings_by_board(n, source):
             report.boards_checked += 1
-            sources = list(fillings(board, source))
             seen: dict[Filling, Filling] = {}
-            for f in sources:
+            for rows in listed:
+                f = Filling(board, rows)
                 report.fillings_checked += 1
                 if not filling_avoids_all(f, source):
                     report.violation = Violation(
@@ -502,10 +507,10 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
                     )
                     return report
                 seen[g] = f
-            if len(sources) != target_count:
+            if len(listed) != target_counts[board]:
                 report.violation = Violation(
                     "count", board, None,
-                    f"{len(sources)} source avoiders vs {target_count} target avoiders",
+                    f"{len(listed)} source avoiders vs {target_counts[board]} target avoiders",
                 )
                 return report
     return report

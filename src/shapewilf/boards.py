@@ -12,13 +12,17 @@ carry 1's order-isomorphic to p and the top-right corner cell
 single corner test is equivalent to requiring the whole k x k submatrix
 grid to sit inside the board.
 
+One walk over the trie of column heights generates every filling, so
+boards that share a prefix of heights share each partial filling over
+it; listing, counting and one board's fillings are views of that walk.
+
 Text notation: board "[6,6,5,4,3,3]", filling "[6,6,5,4,3,3]/561423".
 """
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
     Perm, PrefixTable, anchored_intervals, format_perm, inverse, make_perm, occurs,
@@ -263,44 +267,55 @@ def child_blocks(table: PrefixTable, blocks: list[int], rows: Sequence[int]) -> 
     return blocks
 
 
+def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
+          ) -> Iterator[tuple[Board, list[Perm]]]:
+    """The board walk of ``fillings_by_board``; ``board`` pins each
+    column's height to its own."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        yield (), [()]  # the empty board's one filling
+        return
+    table = prefix_table(avoid)
+
+    def descend(prefix: Board, cap: int, partials: list):
+        c = len(prefix)
+        # column c+1 needs height >= n - c to keep the staircase
+        lo, hi = (max(n - c, board[c]), min(cap, board[c])) if board else (n - c, cap)
+        below: list[list] = [[] for _ in range(hi + 1)]
+        for rows, free, blocks in partials:
+            for r in range(1, hi + 1):
+                if not free >> r & 1:
+                    continue
+                left = free ^ 1 << r
+                floor = max(r, left.bit_length() - 1, lo)
+                top = min(hi, max(blocks[r], r) - 1)
+                if floor <= top:
+                    grown = rows + (r,)
+                    child = (grown, left, child_blocks(table, blocks, grown)) if left else grown
+                    for h in range(floor, top + 1):
+                        below[h].append(child)
+        for h in range(hi, lo - 1, -1):
+            if c == n - 1:
+                yield prefix + (h,), below[h]
+            else:
+                yield from descend(prefix + (h,), h, below[h])
+
+    yield from descend((), n, [((), (1 << n + 1) - 2, child_blocks(table, [n + 1] * (n + 2), ()))])
+
+
 def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
     """
-    All fillings of the board avoiding every pattern in ``avoid``,
-    generated column by column (left to right), rows ascending.  Each
-    partial filling carries its frontier (see ``child_blocks``), so a
-    column of height h takes exactly the unused rows r <= h whose
-    frontier entry is above h.
+    All fillings of the board avoiding every pattern in ``avoid``, rows
+    ascending: the board walk with every height pinned to the board's.
 
     >>> [f.rows for f in fillings((3, 2, 1))]
     [(3, 2, 1)]
     >>> sum(1 for _ in fillings((3, 3, 3), {(1, 2, 3), (2, 1, 3)}))
     4
     """
-    m = len(board)
-    if m == 0:
-        yield Filling((), ())
-        return
-    if board[0] != m:
-        return
-    table = prefix_table(avoid)
-    rows: list[int] = []
-    used = [False] * (m + 1)
-
-    def place(c: int, blocks: list[int]) -> Iterator[Filling]:
-        h = board[c]
-        for r in range(1, h + 1):
-            if used[r] or blocks[r] <= h:
-                continue
-            rows.append(r)
-            if c + 1 == m:
-                yield Filling(board, tuple(rows))
-            else:
-                used[r] = True
-                yield from place(c + 1, child_blocks(table, blocks, rows))
-                used[r] = False
-            rows.pop()
-
-    yield from place(0, child_blocks(table, [m + 1] * (m + 2), ()))
+    for _, listed in _walk(len(board), avoid, board):
+        yield from (Filling(board, rows) for rows in listed)
 
 
 def count_fillings(board: Board, avoid: Iterable[Perm] = ()) -> int:
@@ -310,7 +325,31 @@ def count_fillings(board: Board, avoid: Iterable[Perm] = ()) -> int:
     >>> count_fillings((3, 3, 3), {(1, 2, 3), (2, 1, 3)})
     4
     """
-    return sum(1 for _ in fillings(board, avoid))
+    return sum(len(listed) for _, listed in _walk(len(board), avoid, board))
+
+
+def fillings_by_board(n: int, avoid: Iterable[Perm] = ()) -> Iterator[tuple[Board, list[Perm]]]:
+    """
+    Every board with n columns in ``enumerate_boards(n)`` order, with the
+    rows of its fillings avoiding ``avoid``, ascending (an empty list for
+    a board with none), from one depth-first walk over the trie of column
+    heights.  A node of the walk holds the partial fillings that fit its
+    prefix of heights, in lexicographic order, as (rows, free rows as a
+    bitmask, frontier).  It extends each once by every free row r at most
+    its height (n at the root), builds that child's frontier once (see
+    ``child_blocks``; none in the last column) and hands the child to
+    every next height from a floor to a top:
+
+    - the floor is r, or the largest row still free if that is higher
+      (no later column is taller); so the i-th column from the right is
+      at least i tall, and every board reached is in ``enumerate_boards``;
+    - the top is the node's height, or one below max(blocks[r], r) if
+      that is lower: the least height at which a pattern occurs in-board.
+
+    >>> list(fillings_by_board(2, {(1, 2)}))
+    [((2, 2), [(2, 1)]), ((2, 1), [(2, 1)])]
+    """
+    return _walk(n, avoid, None)
 
 
 def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
@@ -318,58 +357,12 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
     Avoiding-filling counts on every board with n columns, keyed in
     ``enumerate_boards(n)`` order; boards with no avoider map to 0.
 
-    One depth-first walk chooses each column's row and height together,
-    so boards sharing a prefix of column heights share every partial
-    filling over it.  Each column gets an unused row r at most the height
-    H of the column before it (n for the first), and then every height
-    in an interval:
-
-    - the floor is r, or the largest row still unused if that is higher
-      (it must fit in a later column, and no later column is taller);
-      this keeps the i-th column from the right at least i tall, so every
-      board reached is one of ``enumerate_boards(n)``;
-    - the top is H, or one below max(blocks[r], r) if that is lower: the
-      partial filling's frontier (see ``child_blocks``) holds the least
-      height at which some pattern would occur in-board.
-
     >>> filling_counts(3)
     {(3, 3, 3): 6, (3, 3, 2): 4, (3, 3, 1): 2, (3, 2, 2): 2, (3, 2, 1): 1}
     >>> list(filling_counts(3, {(1, 2, 3), (2, 1, 3)}).values())
     [4, 4, 2, 2, 1]
     """
-    counts = dict.fromkeys(enumerate_boards(n), 0)
-    if n == 0:
-        return {(): 1}  # the empty filling, as in ``fillings(())``
-    table = prefix_table(avoid)
-    rows: list[int] = []
-    heights: list[int] = []
-    used = [False] * (n + 1)
-
-    def place(cap: int, blocks: list[int]) -> None:
-        for r in range(1, cap + 1):
-            if used[r]:
-                continue
-            used[r] = True
-            rest = n
-            while rest and used[rest]:
-                rest -= 1
-            floor = max(r, rest)
-            top = min(cap, max(blocks[r], r) - 1)
-            if top >= floor:
-                rows.append(r)
-                child = child_blocks(table, blocks, rows) if rest else None
-                for h in range(floor, top + 1):
-                    heights.append(h)
-                    if rest:
-                        place(h, child)
-                    else:
-                        counts[tuple(heights)] += 1
-                    heights.pop()
-                rows.pop()
-            used[r] = False
-
-    place(n, child_blocks(table, [n + 1] * (n + 2), ()))
-    return counts
+    return {board: len(listed) for board, listed in fillings_by_board(n, avoid)}
 
 
 def transversal_count_formula(board: Board) -> int:

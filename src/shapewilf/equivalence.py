@@ -17,11 +17,10 @@ A child inherits its parent's mask, shifted with its values, and adds
 the intervals that the anchored prefix search
 ``perms.anchored_intervals`` reports for the prefix occurrences ending at
 its own last entry.  The children are the clear bits, so the last level
-is counted from its parents without being visited.  The board walks of
-``boards.fillings`` and ``boards.filling_counts`` carry the same frontier
-over absolute rows.  The walks keep one root-to-leaf path, so their
-memory is O(n^2) whatever n is.  All counts are exact Python integers, so
-there is no overflow to detect.
+is counted from its parents without being visited, and memory is O(n^2)
+whatever n is.  The board walk of ``boards`` carries the same frontier
+over absolute rows.  All counts are exact Python integers, so there is
+no overflow to detect.
 """
 from __future__ import annotations
 

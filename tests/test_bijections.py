@@ -297,6 +297,44 @@ def test_corrupted_oracle_is_caught():
     assert not filling_avoids_all(witness_out, bad.target)
 
 
+def test_verify_reports_the_first_violation_in_board_order():
+    # identity on {123,213}-avoiders, except that 3412 on the sixth board
+    # with four columns collides with 1432: every earlier board passes
+    avoid = parse_pattern_set("{123,213}")
+    late = Filling((4, 4, 3, 2), (3, 4, 1, 2))
+    collide = Filling((4, 4, 3, 2), (1, 4, 3, 2))
+    oracle = BijectionOracle(
+        "late collision", avoid, avoid, lambda f: collide if f == late else f
+    )
+    report = verify_bijection(oracle, 5)
+    assert (report.boards_checked, report.fillings_checked) == (14, 56)
+    v = report.violation
+    assert (v.kind, v.board, v.witness) == ("injectivity", (4, 4, 3, 2), (collide, late))
+    assert report.describe() == (
+        "late collision: injectivity violation on board (4, 4, 3, 2): "
+        "[4,4,3,2]/1432 and [4,4,3,2]/3412 both map to [4,4,3,2]/1432"
+    )
+
+    # every {1234}-avoider avoids {12345}: the counts first differ on the
+    # square board with four columns, after every board with three
+    widen = BijectionOracle(
+        "identity", parse_pattern_set("{1234}"), parse_pattern_set("{12345}"), lambda f: f
+    )
+    report = verify_bijection(widen, 5)
+    assert (report.boards_checked, report.fillings_checked) == (9, 42)
+    v = report.violation
+    assert (v.kind, v.board, v.witness) == ("count", (4, 4, 4, 4), None)
+    assert report.describe() == (
+        "identity: count violation on board (4, 4, 4, 4): "
+        "23 source avoiders vs 24 target avoiders"
+    )
+
+    # every nonempty filling contains 1: each board is checked with none
+    one = parse_pattern_set("{1}")
+    report = verify_bijection(BijectionOracle("none", one, one, lambda f: f), 4)
+    assert (report.ok, report.boards_checked, report.fillings_checked) == (True, 22, 0)
+
+
 def test_verify_zero_boards_is_vacuously_ok():
     report = verify_bijection(fan_oracle(3, 1, 2), 0)
     assert report.ok

@@ -20,6 +20,7 @@ from shapewilf.boards import (
     filling_counts,
     filling_from_permutation,
     fillings,
+    fillings_by_board,
     format_board,
     format_filling,
     make_board,
@@ -208,12 +209,16 @@ def test_count_formula_matches_enumeration():
 
 def test_fillings_of_non_transversal_board():
     assert list(fillings((2, 2, 2))) == []
+    assert list(fillings((4, 4, 4))) == []
+    assert list(fillings((3, 1, 1))) == []
+    assert count_fillings((3, 1, 1)) == 0
     assert transversal_count_formula((3, 1, 1)) == 0
 
 
 def test_empty_board():
     assert [f for f in fillings(())] == [((), ())]
     assert count_fillings(()) == 1
+    assert list(fillings_by_board(0, {(1,)})) == [((), [()])]
 
 
 def test_board_counts_csv():
@@ -250,9 +255,19 @@ pattern_sets = st.lists(
 @given(pattern_sets, st.integers(min_value=1, max_value=6))
 @settings(max_examples=30, deadline=None)
 def test_filling_counts_match_per_board_enumeration(patterns, n):
-    assert filling_counts(n, patterns) == {
-        board: count_fillings(board, patterns) for board in enumerate_boards(n)
-    }
+    # listing and counts against all transversals filtered by the
+    # reference walker, every board kept, rows ascending
+    from shapewilf.boards import Filling
+
+    expected = [
+        (board, [w for w in brute_force_fillings(board)
+                 if filling_avoids_all(Filling(board, w), patterns)])
+        for board in enumerate_boards(n)
+    ]
+    assert list(fillings_by_board(n, patterns)) == expected
+    assert list(filling_counts(n, patterns).items()) == [
+        (board, len(rows)) for board, rows in expected
+    ]
 
 
 def test_filling_counts_without_patterns_match_the_formula():
@@ -273,5 +288,7 @@ def test_filling_counts_keys_are_the_boards_in_order():
         assert set(zeros.values()) <= {0}
     with pytest.raises(ValueError):
         filling_counts(-1)
+    with pytest.raises(ValueError):
+        list(fillings_by_board(-1))
     with pytest.raises(ValueError):
         enumerate_boards(-1)
