@@ -21,6 +21,15 @@ is counted from its parents without being visited, and memory is O(n^2)
 whatever n is.  The board walk of ``boards`` carries the same frontier
 over absolute rows.  All counts are exact Python integers, so there is
 no overflow to detect.
+
+Avoider counts do not change under reverse, complement and inverse, so
+``avoider_counts`` keeps, per process, the longest count list walked for
+each symmetry class, keyed by ``trivial_symmetry_class``, with the
+seconds that walk took.  A call whose n_max the list covers gets a slice
+of it; any other call walks the set as given and stores the longer
+list.  Listings (``avoiders``) are not cached, so memory stays bounded.
+Nor are board counts: reverse and complement change them, and only
+inverse together with transposing the board preserves them.
 """
 from __future__ import annotations
 
@@ -169,26 +178,41 @@ def avoiders(patterns: Iterable[Perm], n: int) -> list[Perm]:
     return leaves
 
 
+# symmetry class -> (counts for n = 1..len, seconds the walk took)
+_class_counts: dict[PatternSet, tuple[list[int], float]] = {}
+
+
 def avoider_counts(patterns: Iterable[Perm], n_max: int) -> list[int]:
     """
-    Counts of avoiders for n = 1..n_max.
+    Counts of avoiders for n = 1..n_max, served from the symmetry class's
+    cached list when it reaches n_max.
 
     >>> avoider_counts({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 5)
     [1, 2, 6, 24, 118]
     """
-    return _extension_walk(patterns, n_max)
+    if n_max < 0:
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    patterns = frozenset(patterns)
+    key = trivial_symmetry_class(patterns)
+    counts = _class_counts.get(key, ([], 0.0))[0]
+    if len(counts) < n_max:
+        start = time.perf_counter()
+        counts = _extension_walk(patterns, n_max)
+        _class_counts[key] = (counts, time.perf_counter() - start)
+    return counts[:n_max]
 
 
 def count_avoiders(patterns: Iterable[Perm], n: int) -> int:
     """
-    Number of permutations of length n avoiding every given pattern.
+    Number of permutations of length n avoiding every given pattern; the
+    empty permutation is the one of length 0.
 
     >>> count_avoiders({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 4)
     24
     >>> count_avoiders({(1, 2)}, 3)
     1
     """
-    return _extension_walk(patterns, n)[-1] if n else 1
+    return (avoider_counts(patterns, n) or [1])[-1]
 
 
 def counts_within_budget(
@@ -198,17 +222,23 @@ def counts_within_budget(
     Avoider counts for 1..n; with a time budget in seconds, keep adding
     one more n up to n = BUDGET_CAP, but start a level only if its
     projected time fits in the budget still left.  The projection is the
-    last level's measured time times the growth of the last two counts.
-    A budget of 0 returns exactly n counts.
+    last level's time times the growth of the last two counts.  The last
+    level of the class's cached list is timed by the walk that stored it,
+    not by its lookup.  A budget of 0 returns exactly n counts.
     """
+    patterns = frozenset(patterns)
     start = time.perf_counter()
     counts = avoider_counts(patterns, n)
     if budget is None:
         return counts
+    key = trivial_symmetry_class(patterns)
     now = time.perf_counter()
     deadline = now + budget
     while n < BUDGET_CAP:
-        last, start = now - start, now
+        # below the end of the cached list the call was a lookup, and so
+        # is the next level; at its end, the walk that stored it counts
+        stored, walk_s = _class_counts.get(key, ([], 0.0))
+        last, start = walk_s if len(stored) == n else now - start, now
         growth = counts[-1] / counts[-2] if n > 1 and counts[-2] else 1.0
         if now + last * growth >= deadline:
             break

@@ -52,18 +52,6 @@ from shapewilf.suites import COROLLARY_DECOMPOSITIONS, EXTRA_IDENTITY
 HUB_TEXT = "{12345,12354}"
 
 
-@pytest.fixture(scope="session")
-def counts_cache():
-    cache: dict[str, list[int]] = {}
-
-    def get(set_text: str, n_max: int) -> list[int]:
-        if len(cache.get(set_text, ())) < n_max:
-            cache[set_text] = avoider_counts(parse_pattern_set(set_text), n_max)
-        return cache[set_text][:n_max]
-
-    return get
-
-
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
@@ -103,16 +91,16 @@ def test_criterion_1_erratum_has_true_count_9():
     assert pattern_occurrences(parse_perm("312"), w) == 9
 
 
-def test_criterion_2_main_equivalence(counts_cache):
-    left = counts_cache(HUB_TEXT, 9)
-    right = counts_cache("{45123,45213}", 9)
+def test_criterion_2_main_equivalence():
+    left = avoider_counts(parse_pattern_set(HUB_TEXT), 9)
+    right = avoider_counts(parse_pattern_set("{45123,45213}"), 9)
     passed = left == right
     report("2", passed, f"Av_n{HUB_TEXT} = Av_n{{45123,45213}} for n <= 9: {left}")
     assert passed
 
 
-def test_criterion_3_oeis_crosscheck(counts_cache, tmp_path):
-    counts = counts_cache(HUB_TEXT, 9)
+def test_criterion_3_oeis_crosscheck(tmp_path):
+    counts = avoider_counts(parse_pattern_set(HUB_TEXT), 9)
     assert counts[:4] == [factorial(n) for n in range(1, 5)]
     assert counts[4] == 118
     seq = fetch_sequence("A224295", cache_dir=tmp_path, offline=True)
@@ -181,11 +169,11 @@ def test_criterion_6_negative_control():
     assert passed
 
 
-def test_criterion_7_corollary(counts_cache):
-    hub = counts_cache(HUB_TEXT, 8)
+def test_criterion_7_corollary():
+    hub = avoider_counts(parse_pattern_set(HUB_TEXT), 8)
     identity_count = 0
     for lhs_text, exprs in COROLLARY_DECOMPOSITIONS:
-        assert counts_cache(lhs_text, 8) == hub, lhs_text
+        assert avoider_counts(parse_pattern_set(lhs_text), 8) == hub, lhs_text
         lhs = parse_pattern_set(lhs_text)
         for expr in exprs:
             assert symmetry_identity_check(lhs, expr), (lhs_text, expr)
@@ -202,13 +190,13 @@ def test_criterion_7_corollary(counts_cache):
     )
 
 
-def test_criterion_8_conjecture_evidence(counts_cache, tmp_path):
+def test_criterion_8_conjecture_evidence(tmp_path):
     for k in (3, 4):
         left = pop_to_pattern_set(below_all_pop(k, k))
         right = pop_to_pattern_set(below_all_pop(k, k - 1))
         rep = shape_wilf_table(left, right, 6)
         assert rep.equal, rep.describe()
-    counts = counts_cache("{13452,23451}", 9)
+    counts = avoider_counts(parse_pattern_set("{13452,23451}"), 9)
     seq = fetch_sequence("A224295", cache_dir=tmp_path, offline=True)
     result = align_and_compare(counts, seq)
     passed = result.aligned and result.matched_prefix_length == 9
@@ -221,7 +209,7 @@ def test_criterion_8_conjecture_evidence(counts_cache, tmp_path):
     assert passed
 
 
-def test_criterion_9_engine_oracles(counts_cache):
+def test_criterion_9_engine_oracles():
     engine_sets = [
         HUB_TEXT,
         "{45123,45213}",
@@ -231,13 +219,12 @@ def test_criterion_9_engine_oracles(counts_cache):
     ]
     for set_text in engine_sets:
         patterns = parse_pattern_set(set_text)
-        assert counts_cache(set_text, 8)[7] == count_avoiders_naive(patterns, 8)
-        assert counts_cache(set_text, 8)[:7] == [
-            count_avoiders_naive(patterns, n) for n in range(1, 8)
+        assert avoider_counts(patterns, 8) == [
+            count_avoiders_naive(patterns, n) for n in range(1, 9)
         ]
     for set_text in (HUB_TEXT, "{123}"):
         patterns = parse_pattern_set(set_text)
-        counts = counts_cache(set_text, 7)
+        counts = avoider_counts(patterns, 7)
         for n in range(1, 8):
             assert count_fillings(square_board(n), patterns) == counts[n - 1]
     for n in range(1, 11):

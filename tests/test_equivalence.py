@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapewilf.perms import parse_pattern_set
+from shapewilf.perms import format_pattern_set, parse_pattern_set, set_reverse
 from shapewilf.boards import square_board, count_fillings
 from shapewilf import equivalence
 from shapewilf.equivalence import (
@@ -26,6 +26,13 @@ from shapewilf.equivalence import (
 )
 
 HUB = parse_pattern_set("{12345,12354}")
+
+
+@pytest.fixture(autouse=True)
+def cold_count_cache(monkeypatch):
+    """The avoider-count cache lives as long as the process; each test
+    here starts from an empty one, and the process's cache is restored."""
+    monkeypatch.setattr(equivalence, "_class_counts", {})
 
 
 def test_trivial_counts():
@@ -79,6 +86,52 @@ def test_counting_walk_matches_naive_and_square_fillings(patterns):
         assert counts[n - 1] == count_fillings(square_board(n), patterns), n
 
 
+@given(pattern_sets)
+@settings(max_examples=20, deadline=None)
+def test_cached_counts_match_naive_on_every_orbit_member(patterns):
+    for member in symmetry_orbit(patterns):
+        counts = avoider_counts(member, 6)
+        assert counts == [count_avoiders_naive(member, n) for n in range(1, 7)], member
+        # an uncached walk of this orientation agrees with its class's list
+        assert equivalence._extension_walk(member, 6) == counts, member
+
+
+def test_one_walk_per_symmetry_class(monkeypatch):
+    walks = []
+    walk = equivalence._extension_walk
+
+    def counted(patterns, n_max, leaves=None):
+        walks.append(format_pattern_set(patterns))
+        return walk(patterns, n_max, leaves)
+
+    monkeypatch.setattr(equivalence, "_extension_walk", counted)
+    # two classes, Wilf-equivalent but not by a trivial symmetry; a miss
+    # walks the set as given, not its class's representative
+    texts = ["{12345,12354}", "{12345,12354}^rc", "{45123,45213}", "{21453,21543}"]
+    counts = [avoider_counts(evaluate_set_expression(text), 7) for text in texts]
+    assert walks == ["{12345,12354}", "{45123,45213}"]
+    assert counts == [[1, 2, 6, 24, 118, 672, 4256]] * 4
+    # a hit is a copy of the stored list, and a longer n_max walks again
+    counts[0].append(0)
+    assert avoider_counts(HUB, 6) == [1, 2, 6, 24, 118, 672]
+    assert avoider_counts(HUB, 8)[-1] == count_avoiders(HUB, 8)
+    assert walks == ["{12345,12354}", "{45123,45213}", "{12345,12354}"]
+
+    lookups = []
+    monkeypatch.setattr(equivalence, "trivial_symmetry_class", lookups.append)
+    with pytest.raises(ValueError):
+        avoider_counts(HUB, -1)
+    with pytest.raises(ValueError):
+        count_avoiders(HUB, -1)
+    assert lookups == [] and len(walks) == 3
+
+
+def test_avoider_counts_reads_a_generator_once():
+    assert avoider_counts((p for p in HUB), 5) == [1, 2, 6, 24, 118]
+    assert avoider_counts((p for p in set_reverse(HUB)), 6)[-1] == 672
+    assert counts_within_budget((p for p in HUB), 4, 0) == [1, 2, 6, 24]
+
+
 def test_mixed_length_sets():
     patterns = parse_pattern_set("{12,321}")
     for n in range(0, 7):
@@ -101,8 +154,6 @@ def test_wilf_table_divergence():
 
 
 def test_wilf_table_symmetry_always_equal():
-    from shapewilf.perms import set_reverse
-
     s = parse_pattern_set("{132,4321}")
     report = wilf_table(s, set_reverse(s), 6)
     assert report.equal
@@ -221,3 +272,24 @@ def test_budget_starts_a_level_only_if_its_projection_fits(monkeypatch):
     assert clock[0] - 2 ** 3 / 1000 <= 0.1
     assert len(run(3, 0.113)) == 6 and calls == [3, 4, 5, 6]
     assert len(run(3, 1e9)) == BUDGET_CAP and calls == list(range(3, BUDGET_CAP + 1))
+
+
+def test_budget_after_a_cache_hit_projects_from_the_stored_walk(monkeypatch):
+    # the same stub costs, on the walk behind the real cache: walking to
+    # level n costs 2^n ms and the counts grow by 2 per level
+    clock = [0.0]
+    walks = []
+
+    def walk(patterns, n_max):
+        walks.append(n_max)
+        clock[0] += 2 ** n_max / 1000
+        return [2 ** i for i in range(n_max)]
+
+    monkeypatch.setattr(equivalence, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(equivalence, "_extension_walk", walk)
+    avoider_counts(HUB, 5)  # the stored walk took 32 ms
+    # the lookup takes no time, but level 6 projects to 64 ms
+    assert len(counts_within_budget(HUB, 5, 0.05)) == 5 and walks == [5]
+    # levels below the end of the stored list are lookups; then it decides
+    assert len(counts_within_budget(set_reverse(HUB), 3, 0.05)) == 5 and walks == [5]
+    assert len(counts_within_budget(HUB, 5, 0.07)) == 6 and walks == [5, 6]
