@@ -4,7 +4,10 @@ with a verification harness.
 
 All maps here preserve the board shape exactly and send fillings avoiding
 one pattern set to fillings avoiding another, establishing per-board count
-equalities (shape-Wilf-equivalences) constructively:
+equalities (shape-Wilf-equivalences) constructively.  Calling a
+``BijectionOracle`` checks that the input avoids the source set, then runs
+the raw map ``apply``; a raw map raises on a non-avoider at its first peel
+level whose top-row 1 is not a valid slot.  The maps:
 
 * ``fan_bijection`` -- between two "fan" pattern sets of the same size
   (all patterns whose maximum sits at a fixed position).  The filling is
@@ -55,13 +58,21 @@ class BijectionError(ValueError):
 
 @dataclass(frozen=True)
 class BijectionOracle:
-    """A named shape-preserving map between avoidance classes.  The built-in
-    oracles' ``apply(f, trace=None)`` also fills an optional trace list."""
+    """A named shape-preserving map between avoidance classes.  ``apply(f,
+    trace=None)`` is the raw map, which may fill an optional trace list;
+    calling the oracle first checks that f avoids the source set."""
 
     name: str
     source: PatternSet
     target: PatternSet
     apply: Callable[..., Filling]
+
+    def __call__(self, f: Filling, trace: Trace = None) -> Filling:
+        if not filling_avoids_all(f, self.source):
+            raise BijectionError(
+                f"input filling contains a pattern of {format_pattern_set(self.source)}"
+            )
+        return self.apply(f, trace)
 
 
 Trace = Optional[list]
@@ -243,14 +254,6 @@ def _top_row_rule(patterns: PatternSet) -> SlotRule:
         ) from None
 
 
-def _require_avoids(f: Filling, source: PatternSet) -> None:
-    """The precondition of every bijection: f avoids the source set."""
-    if not filling_avoids_all(f, source):
-        raise BijectionError(
-            f"input filling contains a pattern of {format_pattern_set(source)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # public bijections
 
@@ -260,9 +263,9 @@ def fan_bijection(
     """
     Map a filling avoiding the fan set with apex ``source_apex`` to one of
     the same board avoiding the fan set with apex ``target_apex``; the two
-    runs with swapped apexes are mutually inverse.
+    runs with swapped apexes are mutually inverse.  A non-avoider raises
+    ``BijectionError`` at its first invalid peel level.
     """
-    _require_avoids(f, _fan_set(k, source_apex))
     return _run_rank_matched(
         f, _fan_rule(k, source_apex), _fan_rule(k, target_apex), trace
     )
@@ -275,7 +278,8 @@ def fan_to_bottom_last(f: Filling, k: int, trace: Trace = None) -> Filling:
     apex k to apex 1, conjugated by ``transpose_filling``.  Transposing a
     filling inverts every in-board pattern; "maximum last" is closed under
     inverse, and the inverse of "maximum first" is "minimum last".  So the
-    recursion peels the rightmost column and the row of its 1.
+    recursion peels the rightmost column and the row of its 1, and a
+    non-avoider raises at its first invalid peel level.
     """
     return transpose_filling(fan_bijection(transpose_filling(f), k, k, 1, trace))
 
@@ -287,20 +291,16 @@ def wedge_valley_bijection(
     Map between avoiders of any two of the six size-3 pairs in
     TOP_ROW_PAIRS (the three wedge/fan pairs, the valley pair {213,312},
     and the pairs {132,213} and {231,312}); every pair admits exactly
-    min(2, top-row length) insertion slots, matched by rank.
+    min(2, top-row length) insertion slots, matched by rank.  A
+    non-avoider raises ``BijectionError`` at its first invalid peel level.
     """
-    source = frozenset(source)
-    src_rule = _top_row_rule(source)
+    src_rule = _top_row_rule(frozenset(source))
     tgt_rule = _top_row_rule(frozenset(target))
-    _require_avoids(f, source)
     return _run_rank_matched(f, src_rule, tgt_rule, trace)
 
 
 # ---------------------------------------------------------------------------
 # direct sum transfer
-
-_summed = lru_cache(maxsize=None)(set_direct_sum)  # each inner (+) tail built once
-
 
 def direct_sum_transfer(
     f: Filling, tail: PatternSet, inner: BijectionOracle, trace: Trace = None
@@ -317,10 +317,10 @@ def direct_sum_transfer(
     deleted, the red remainder is squashed bottom-left into a smaller
     Ferrers board (verified, not assumed), mapped with the inner bijection,
     and the blue rows and columns are reinserted unchanged.  A filling
-    avoiding the tail everywhere is all blue and maps to itself.
+    avoiding the tail everywhere is all blue and maps to itself.  A
+    non-avoider has a red subfilling that contains ``inner.source``, so the
+    inner map raises at its first invalid peel level.
     """
-    tail = frozenset(tail)
-    _require_avoids(f, _summed(frozenset(inner.source), tail))
     board, rows = f
     m = len(board)
     if m == 0:
@@ -370,7 +370,7 @@ def direct_sum_transfer(
     out_rows = list(rows)
     for t, c in enumerate(surv_cols):
         out_rows[c - 1] = surv_rows[mapped.rows[t] - 1]
-    return make_filling(board, out_rows)
+    return Filling(board, tuple(out_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +411,8 @@ def transfer_oracle(inner: BijectionOracle, tail: PatternSet) -> BijectionOracle
     tail = frozenset(tail)
     return BijectionOracle(
         name=f"transfer[{inner.name}] (+) {format_pattern_set(tail)}",
-        source=_summed(frozenset(inner.source), tail),
-        target=_summed(frozenset(inner.target), tail),
+        source=set_direct_sum(inner.source, tail),
+        target=set_direct_sum(inner.target, tail),
         apply=lambda f, trace=None: direct_sum_transfer(f, tail, inner, trace),
     )
 
@@ -455,12 +455,13 @@ class VerificationReport:
 
 def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     """
-    Exhaustively check the oracle on every board with up to n_max columns:
-    inputs avoid the source set, outputs stay on the same board and avoid
-    the target set, the map is injective per board, and source/target
-    counts agree (surjectivity).  Stops at the first violation.  Each
-    level streams its sources board by board from one ``fillings_by_board``
-    walk and takes its target counts from one ``filling_counts`` walk.
+    Exhaustively check the oracle's raw ``apply`` on every board with up to
+    n_max columns: inputs avoid the source set, outputs are transversals
+    of the same board and avoid the target set, the map is injective per
+    board, and source/target counts agree (surjectivity).  Stops at the
+    first violation.  Each level streams its sources board by board from
+    one ``fillings_by_board`` walk and takes its target counts from one
+    ``filling_counts`` walk.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
@@ -487,7 +488,11 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
                         "domain", board, f, f"{format_filling(f)}: {exc}"
                     )
                     return report
-                if g.board != board:
+                try:
+                    on_board = make_filling(board, g.rows) == g
+                except ValueError:
+                    on_board = False
+                if not on_board:
                     report.violation = Violation(
                         "shape", board, (f, g),
                         f"{format_filling(f)} mapped off-board to {format_filling(g)}",

@@ -20,8 +20,6 @@ Text notation: board "[6,6,5,4,3,3]", filling "[6,6,5,4,3,3]/561423".
 """
 from __future__ import annotations
 
-import csv
-import io
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
@@ -383,13 +381,3 @@ def transversal_count_formula(board: Board) -> int:
             return 0
         total *= factor
     return total
-
-
-def board_counts_to_csv(table: dict[Board, int]) -> str:
-    """CSV export of a board -> count table, columns ``board,count``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["board", "count"])
-    for board, count in table.items():
-        writer.writerow([format_board(board), count])
-    return buf.getvalue()

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .perms import format_pattern_set, parse_pattern_set
 from .pops import fan_pop, pop_to_pattern_set
 from .boards import (
-    board_counts_to_csv,
     count_fillings,
     enumerate_boards,
     fillings,
@@ -200,7 +199,7 @@ def cmd_bijection(args) -> int:
     f = parse_filling(args.filling)
     trace: Optional[list] = [] if args.trace else None
     try:
-        out = oracle.apply(f, trace)
+        out = oracle(f, trace)
     except BijectionError as exc:
         print(f"bijection failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -224,13 +223,11 @@ def cmd_fillings(args) -> int:
     avoid = parse_pattern_set(args.avoid) if args.avoid else frozenset()
     if args.count_only:
         count = count_fillings(board, avoid)
-        if args.format == "csv":
-            print(board_counts_to_csv({board: count}), end="")
-        elif args.format == "json-lines":
-            print(json.dumps({"board": format_board(board), "count": count},
-                             sort_keys=True, separators=(",", ":")))
-        else:
+        if args.format == "table":
             print(count)
+        else:
+            _emit_records([{"board": format_board(board), "count": count}],
+                          args.format, ["board", "count"])
         return EXIT_OK
     records = [{"filling": format_filling(f)} for f in fillings(board, avoid)]
     _emit_records(records, args.format, ["filling"])
@@ -262,10 +259,7 @@ def cmd_oeis(args) -> int:
         "first_mismatch": list(report.first_mismatch) if report.first_mismatch else "",
     }
     _emit_records([rec], args.format, list(rec))
-    full_match = report.aligned and report.first_mismatch is None and (
-        report.matched_prefix_length >= min(len(counts), len(seq.entries))
-    )
-    return EXIT_OK if full_match else EXIT_DIVERGENCE
+    return EXIT_OK if oeis.full_match(report, counts, seq) else EXIT_DIVERGENCE
 
 
 # ---------------------------------------------------------------------------

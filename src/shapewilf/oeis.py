@@ -10,7 +10,7 @@ available.
 Comparison against computed avoider counts uses value-based alignment:
 the published offset of a sequence is never trusted, the computed n=1
 term is matched against every equal b-file entry instead and the longest
-verified run wins.
+verified run wins; ``full_match`` is the pass/fail verdict.
 """
 from __future__ import annotations
 
@@ -199,3 +199,12 @@ def align_and_compare(computed: Seq[int], seq: Sequence) -> ComparisonReport:
     if best.alignment_offset is None:
         return ComparisonReport(0, None, None)
     return best
+
+
+def full_match(report: ComparisonReport, computed: Seq[int], seq: Sequence) -> bool:
+    """The one verdict of ``oeis compare`` and the suites: the terms align,
+    no computed term disagrees with the published one, and the matched
+    prefix covers every computed term or every published entry."""
+    return report.aligned and report.first_mismatch is None and (
+        report.matched_prefix_length >= min(len(computed), len(seq.entries))
+    )

@@ -202,9 +202,6 @@ def _oeis_check(
             )
         counts = counts_within_budget(patterns, n_max, opts.time_budget)
         report = oeis.align_and_compare(counts, seq)
-        passed = report.aligned and report.matched_prefix_length >= min(
-            n_max, len(seq.entries)
-        )
         details = {
             "computed": counts,
             "provenance": seq.provenance,
@@ -216,7 +213,7 @@ def _oeis_check(
         return CheckResult(
             suite, name, "oeis-compare", label,
             f"Av_n({format_pattern_set(patterns)}) matches {seq_id}",
-            passed, params, details,
+            oeis.full_match(report, counts, seq), params, details,
         )
 
     return _timed(run)

@@ -18,6 +18,7 @@ from shapewilf.boards import (
     transpose_filling,
 )
 from shapewilf.bijections import (
+    TOP_ROW_PAIRS,
     BijectionError,
     BijectionOracle,
     direct_sum_transfer,
@@ -355,3 +356,54 @@ def test_fan_trace_has_one_line_per_level():
     fan_bijection(f, 3, 1, 3, trace)
     assert len([l for l in trace if l.startswith("peel")]) == 4
     assert len([l for l in trace if l.startswith("rebuild")]) == 4
+
+
+def test_verify_catches_images_that_leave_the_board():
+    # injective and board-preserving in name only: every row moves up one,
+    # so the top row's 1 leaves the board
+    shift = BijectionOracle(
+        "shift", parse_pattern_set("{123}"), parse_pattern_set("{123}"),
+        lambda f, trace=None: Filling(f.board, tuple(r + 1 for r in f.rows)),
+    )
+    report = verify_bijection(shift, 4)
+    assert not report.ok
+    v = report.violation
+    assert (v.kind, v.board) == ("shape", (1,))
+    assert report.describe() == (
+        "shift: shape violation on board (1,): [1]/1 mapped off-board to [1]/2"
+    )
+
+
+def _every_oracle():
+    for k in range(2, 5):
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                yield fan_oracle(k, a, b)
+        yield fan_bottom_last_oracle(k)
+    pairs = list(TOP_ROW_PAIRS)
+    for i, source in enumerate(pairs):
+        yield wedge_valley_oracle(source, pairs[(i + 1) % len(pairs)])
+    for tail in ("{12}", "{21}", "{132}"):
+        yield transfer_oracle(fan_oracle(3, 3, 1), parse_pattern_set(tail))
+        yield transfer_oracle(fan_oracle(2, 1, 2), parse_pattern_set(tail))
+    yield transfer_oracle(fan_oracle(3, 3, 1), {()})
+
+
+@pytest.mark.parametrize("oracle", list(_every_oracle()), ids=lambda o: o.name)
+def test_raw_map_raises_exactly_on_non_avoiders(oracle):
+    # the raw maps check no precondition up front: a non-avoider must
+    # still raise, through the peel recursion's slot test, and an avoider
+    # never; calling the oracle checks the source set first
+    for n in range(1, 6):
+        for board in enumerate_boards(n):
+            for f in fillings(board):
+                avoids = filling_avoids_all(f, oracle.source)
+                try:
+                    g = oracle.apply(f)
+                except BijectionError:
+                    assert not avoids, f
+                    with pytest.raises(BijectionError, match="input filling contains"):
+                        oracle(f)
+                else:
+                    assert avoids, f
+                    assert oracle(f) == g

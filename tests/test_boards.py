@@ -10,7 +10,6 @@ from shapewilf.perms import all_perms, parse_perm, parse_pattern_set
 from shapewilf.boards import (
     OutOfBoardError,
     admits_filling,
-    board_counts_to_csv,
     board_from_row_lengths,
     cell_in_board,
     count_fillings,
@@ -219,13 +218,6 @@ def test_empty_board():
     assert [f for f in fillings(())] == [((), ())]
     assert count_fillings(()) == 1
     assert list(fillings_by_board(0, {(1,)})) == [((), [()])]
-
-
-def test_board_counts_csv():
-    table = {(3, 2, 1): 1, (3, 3, 3): 6}
-    text = board_counts_to_csv(table)
-    assert text.splitlines()[0] == "board,count"
-    assert '"[3,2,1]",1' in text
 
 
 def test_filling_counts_match_brute_force():

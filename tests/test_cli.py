@@ -243,7 +243,7 @@ def test_bijection_precondition_exit_1(capsys):
         "--target-apex", "3", "--filling", "[3,3,3]/312",
     )
     assert code == 1
-    assert "contains" in err
+    assert err == "bijection failed: input filling contains a pattern of {312,321}\n"
 
 
 def test_bijection_verify(capsys):
@@ -290,6 +290,40 @@ def test_fillings_listing_and_count(capsys):
         capsys, "--format", "csv", "fillings", "--board", "[3,3,1]", "--count-only"
     )
     assert out.splitlines() == ["board,count", '"[3,3,1]",2']
+
+
+def test_fillings_count_only_bytes(capsys):
+    argv = ("fillings", "--board", "[3,3,1]", "--count-only")
+    _, out, _ = run(capsys, "--format", "csv", *argv)
+    assert out == 'board,count\r\n"[3,3,1]",2\r\n'
+    _, out, _ = run(capsys, "--format", "json-lines", *argv)
+    assert out == '{"board":"[3,3,1]","count":2}\n'
+
+
+def test_oeis_verdict_is_one_rule_for_suite_and_compare(capsys, tmp_path):
+    # a cached b-file whose n=9 term is wrong: under a time budget the
+    # counts run past --n-oeis 8 onto it, and both paths must fail
+    from shapewilf.equivalence import avoider_counts
+    from shapewilf.perms import parse_pattern_set
+
+    terms = [1, 2, 6, 24, 118, 672, 4256, 29176, 212587]
+    (tmp_path / "A224295.txt").write_text(
+        "".join(f"{n} {t}\n" for n, t in enumerate(terms, 1))
+    )
+    # warm the class cache so that level 9 is a lookup, well inside the budget
+    avoider_counts(parse_pattern_set("{13452,23451}"), 9)
+    common = ("--offline", "--cache-dir", str(tmp_path), "--time-budget", "0.5",
+              "--format", "json-lines")
+    code, out, _ = run(capsys, *common, "suite", "conjecture-13452", "--n-oeis", "8")
+    rec = json.loads(out)
+    assert (code, rec["verdict"]) == (1, "FAIL")
+    assert rec["witness"]["first_mismatch"] == [9, 212586, 212587]
+
+    code, out, _ = run(
+        capsys, *common, "oeis", "compare", "A224295", "--set", "{13452,23451}",
+        "--n", "8",
+    )
+    assert (code, json.loads(out)["first_mismatch"]) == (1, [9, 212586, 212587])
 
 
 def test_oeis_fetch_and_compare_offline(capsys, tmp_path):
