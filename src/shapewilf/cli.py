@@ -98,28 +98,22 @@ def cmd_count_av(args) -> int:
 def cmd_check(args) -> int:
     left = parse_pattern_set(args.left)
     right = parse_pattern_set(args.right)
-    fail_fast = not args.full
+    columns = ["n", "left_count", "right_count", "equal"]
     if args.kind == "wilf":
-        n_max = args.n if args.n is not None else 9
-        report = wilf_table(left, right, n_max, fail_fast=fail_fast)
-        records = [
-            {"n": r.n, "left_count": r.left_count, "right_count": r.right_count,
-             "equal": r.equal}
-            for r in report.rows
-        ]
-        _emit_records(records, args.format, ["n", "left_count", "right_count", "equal"])
+        table, n_max = wilf_table, 9
     else:
-        n_max = args.n if args.n is not None else 6
-        report = shape_wilf_table(left, right, n_max, fail_fast=fail_fast)
-        records = [
-            {"n": r.n, "board": format_board(r.board), "left_count": r.left_count,
-             "right_count": r.right_count, "equal": r.equal}
-            for r in report.rows
-        ]
-        _emit_records(
-            records, args.format,
-            ["n", "board", "left_count", "right_count", "equal"],
-        )
+        table, n_max = shape_wilf_table, 6
+        columns.insert(1, "board")
+    report = table(left, right, n_max if args.n is None else args.n,
+                   fail_fast=not args.full)
+    records = []
+    for r in report.rows:
+        rec = {"n": r.n, "left_count": r.left_count, "right_count": r.right_count,
+               "equal": r.equal}
+        if r.board is not None:
+            rec["board"] = format_board(r.board)
+        records.append(rec)
+    _emit_records(records, args.format, columns)
     print(report.describe(), file=sys.stderr)
     return EXIT_OK if report.equal else EXIT_DIVERGENCE
 
@@ -145,7 +139,7 @@ def cmd_suite(args) -> int:
             "claim": r.claim,
             "verdict": "pass" if r.passed else "FAIL",
             "params": r.params,
-            "witness": r.details.get("witness", r.details if not r.passed else ""),
+            "witness": r.witness,
         }
         if args.timings:
             rec["wall_time_ms"] = round(r.wall_time * 1000.0, 1)
@@ -259,7 +253,7 @@ def cmd_oeis(args) -> int:
         "first_mismatch": list(report.first_mismatch) if report.first_mismatch else "",
     }
     _emit_records([rec], args.format, list(rec))
-    return EXIT_OK if oeis.full_match(report, counts, seq) else EXIT_DIVERGENCE
+    return EXIT_OK if report.full_match else EXIT_DIVERGENCE
 
 
 # ---------------------------------------------------------------------------

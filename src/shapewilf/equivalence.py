@@ -30,6 +30,11 @@ of it; any other call walks the set as given and stores the longer
 list.  Listings (``avoiders``) are not cached, so memory stays bounded.
 Nor are board counts: reverse and complement change them, and only
 inverse together with transposing the board preserves them.
+
+A Wilf or shape-Wilf table is a list of ``Row``s, one per n or per
+board, built by one loop that records the first unequal row as the
+report's ``first_divergence``; the report is equal exactly when there
+is none.
 """
 from __future__ import annotations
 
@@ -57,20 +62,11 @@ from .boards import Board, filling_counts
 
 
 @dataclass
-class WilfRow:
+class Row:
+    """One comparison: level n, the board (None in a Wilf table) and
+    both sets' counts."""
     n: int
-    left_count: int
-    right_count: int
-
-    @property
-    def equal(self) -> bool:
-        return self.left_count == self.right_count
-
-
-@dataclass
-class ShapeWilfRow:
-    n: int
-    board: Board
+    board: Optional[Board]
     left_count: int
     right_count: int
 
@@ -85,13 +81,12 @@ class EquivalenceReport:
     left: PatternSet
     right: PatternSet
     n_max: int
-    rows: list = field(default_factory=list)
-    verdict: str = "equal-up-to-n_max"
+    rows: list[Row] = field(default_factory=list)
     first_divergence: Optional[object] = None  # n, or (n, board)
 
     @property
     def equal(self) -> bool:
-        return self.verdict == "equal-up-to-n_max"
+        return self.first_divergence is None
 
     def describe(self) -> str:
         lhs, rhs = format_pattern_set(self.left), format_pattern_set(self.right)
@@ -215,6 +210,12 @@ def count_avoiders(patterns: Iterable[Perm], n: int) -> int:
     return (avoider_counts(patterns, n) or [1])[-1]
 
 
+def check_time_budget(budget: Optional[float]) -> None:
+    """A budget is None or a number of seconds >= 0 (inf allowed)."""
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"time budget must be >= 0 seconds, got {budget}")
+
+
 def counts_within_budget(
     patterns: Iterable[Perm], n: int, budget: Optional[float]
 ) -> list[int]:
@@ -224,8 +225,10 @@ def counts_within_budget(
     projected time fits in the budget still left.  The projection is the
     last level's time times the growth of the last two counts.  The last
     level of the class's cached list is timed by the walk that stored it,
-    not by its lookup.  A budget of 0 returns exactly n counts.
+    not by its lookup.  A budget of 0 returns exactly n counts; a negative
+    or NaN budget raises ``ValueError`` before any counting.
     """
+    check_time_budget(budget)
     patterns = frozenset(patterns)
     start = time.perf_counter()
     counts = avoider_counts(patterns, n)
@@ -257,6 +260,22 @@ def count_avoiders_naive(patterns: Iterable[Perm], n: int) -> int:
 # ---------------------------------------------------------------------------
 # equivalence tables
 
+def _table(
+    kind: str, left: PatternSet, right: PatternSet, n_max: int,
+    rows: Iterable[Row], fail_fast: bool,
+) -> EquivalenceReport:
+    """The report of ``rows``, drawn in order; the first unequal row is
+    the divergence, and ``fail_fast`` stops drawing there."""
+    report = EquivalenceReport(kind, frozenset(left), frozenset(right), n_max)
+    for row in rows:
+        report.rows.append(row)
+        if not row.equal and report.equal:
+            report.first_divergence = row.n if row.board is None else (row.n, row.board)
+            if fail_fast:
+                break
+    return report
+
+
 def wilf_table(
     left: PatternSet, right: PatternSet, n_max: int, *, fail_fast: bool = True
 ) -> EquivalenceReport:
@@ -268,18 +287,10 @@ def wilf_table(
     >>> wilf_table(frozenset({(1, 2, 3)}), frozenset({(1, 2)}), 3).first_divergence
     2
     """
-    report = EquivalenceReport("wilf", frozenset(left), frozenset(right), n_max)
     lcounts = avoider_counts(left, n_max)
     rcounts = avoider_counts(right, n_max)
-    for n in range(1, n_max + 1):
-        row = WilfRow(n, lcounts[n - 1], rcounts[n - 1])
-        report.rows.append(row)
-        if not row.equal and report.verdict == "equal-up-to-n_max":
-            report.verdict = "diverges"
-            report.first_divergence = n
-            if fail_fast:
-                break
-    return report
+    rows = (Row(n, None, lc, rc) for n, (lc, rc) in enumerate(zip(lcounts, rcounts), 1))
+    return _table("wilf", left, right, n_max, rows, fail_fast)
 
 
 def shape_wilf_table(
@@ -293,23 +304,19 @@ def shape_wilf_table(
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    report = EquivalenceReport("shape-wilf", frozenset(left), frozenset(right), n_max)
-    for n in range(1, n_max + 1):
-        right_counts = filling_counts(n, right)
-        for board, left_count in filling_counts(n, left).items():
-            row = ShapeWilfRow(n, board, left_count, right_counts[board])
-            report.rows.append(row)
-            if not row.equal and report.verdict == "equal-up-to-n_max":
-                report.verdict = "diverges"
-                report.first_divergence = (n, board)
-                if fail_fast:
-                    return report
-    return report
+
+    def rows() -> Iterable[Row]:
+        for n in range(1, n_max + 1):
+            right_counts = filling_counts(n, right)
+            for board, left_count in filling_counts(n, left).items():
+                yield Row(n, board, left_count, right_counts[board])
+
+    return _table("shape-wilf", left, right, n_max, rows(), fail_fast)
 
 
 def find_shape_wilf_divergence(
     left: PatternSet, right: PatternSet, n_limit: int
-) -> Optional[ShapeWilfRow]:
+) -> Optional[Row]:
     """
     Smallest board (by column count, then enumeration order) on which the
     two sets have different avoiding-filling counts, or None.

@@ -5,17 +5,17 @@ b-files are plain text, one "index value" pair per line, with '#' comment
 lines.  Network access goes through a single pluggable fetcher so the
 module is fully testable offline; a locally generated snapshot of A224295
 ships with the package and is used when neither network nor cache is
-available.
+available.  The network stack is imported only for a fetch.
 
 Comparison against computed avoider counts uses value-based alignment:
 the published offset of a sequence is never trusted, the computed n=1
 term is matched against every equal b-file entry instead and the longest
-verified run wins; ``full_match`` is the pass/fail verdict.
+verified run wins.  The report's ``full_match`` is the one pass/fail
+verdict of ``oeis compare`` and the suites.
 """
 from __future__ import annotations
 
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,6 +62,13 @@ class ComparisonReport:
     def aligned(self) -> bool:
         return self.alignment_offset is not None
 
+    @property
+    def full_match(self) -> bool:
+        """The terms align and none disagrees with the published one, so
+        the matched run ends at the last computed term or at the last
+        published entry, counted from the anchor on."""
+        return self.aligned and self.first_mismatch is None
+
 
 def parse_b_file(text: str, seq_id: str = "?", provenance: str = "cache") -> Sequence:
     """
@@ -104,6 +111,8 @@ def serialize_b_file(seq: Sequence) -> str:
 
 
 def _default_fetcher(url: str) -> bytes:
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=30) as resp:  # pragma: no cover
         return resp.read()
 
@@ -169,12 +178,16 @@ def align_and_compare(computed: Seq[int], seq: Sequence) -> ComparisonReport:
     Match computed terms (indexed by n starting at 1) against a run of
     consecutive b-file entries.  The alignment anchors the n=1 term on
     every b-file entry with an equal value; the anchor verifying the
-    longest prefix wins (ties go to the earliest anchor).  Comparison
-    length is capped by the published data.
+    longest prefix wins (ties go to the earliest anchor).  The run stops
+    at the first mismatch or at the end of the published data, so it is
+    a full match when no term mismatches, wherever the anchor sits.
 
     >>> seq = parse_b_file("0 1\\n1 1\\n2 2\\n3 6\\n4 24\\n")
-    >>> align_and_compare([1, 2, 6], seq)
-    ComparisonReport(matched_prefix_length=3, alignment_offset=1, first_mismatch=None)
+    >>> report = align_and_compare([1, 2, 6, 24, 120], seq)
+    >>> report
+    ComparisonReport(matched_prefix_length=4, alignment_offset=1, first_mismatch=None)
+    >>> report.full_match
+    True
     """
     terms = list(computed)
     if len(terms) < 3:
@@ -196,15 +209,4 @@ def align_and_compare(computed: Seq[int], seq: Sequence) -> ComparisonReport:
             matched += 1
         if matched > best.matched_prefix_length or best.alignment_offset is None:
             best = ComparisonReport(matched, idx, mismatch)
-    if best.alignment_offset is None:
-        return ComparisonReport(0, None, None)
     return best
-
-
-def full_match(report: ComparisonReport, computed: Seq[int], seq: Sequence) -> bool:
-    """The one verdict of ``oeis compare`` and the suites: the terms align,
-    no computed term disagrees with the published one, and the matched
-    prefix covers every computed term or every published entry."""
-    return report.aligned and report.first_mismatch is None and (
-        report.matched_prefix_length >= min(len(computed), len(seq.entries))
-    )

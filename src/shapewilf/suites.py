@@ -1,15 +1,19 @@
 """
 Named check suites runnable from the CLI.
 
-Each suite is an ordered list of checks; a check records the mathematical
-claim being tested, whether it is a VERIFICATION (finite check of a proven
-statement) or EVIDENCE (finite check of a conjecture, which no amount of
-desk-scale counting can prove), the parameters used, and the outcome.
+Each suite is an ordered list of checks, returned unrun; ``run_suite``
+runs and times each one.  A check's builder holds its data and returns
+its ``CheckResult`` once: the mathematical claim being tested, whether it
+is a VERIFICATION (finite check of a proven statement) or EVIDENCE
+(finite check of a conjecture, which no amount of desk-scale counting
+can prove), the parameters used, the outcome, and the witness the CLI
+prints: what a failed check saw, or the board a divergence search found.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .perms import PatternSet, format_pattern_set, parse_pattern_set
@@ -17,6 +21,7 @@ from .pops import below_all_pop, pop_to_pattern_set
 from .boards import format_board
 from .bijections import fan_oracle, transfer_oracle, verify_bijection
 from .equivalence import (
+    check_time_budget,
     counts_within_budget,
     evaluate_set_expression,
     find_shape_wilf_divergence,
@@ -67,6 +72,7 @@ class SuiteOptions:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        check_time_budget(self.time_budget)
 
 
 def _size(value: Optional[int], default: int) -> int:
@@ -83,256 +89,197 @@ class CheckResult:
     claim: str
     passed: bool
     params: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    witness: object = ""  # what a failure saw, or the board a divergence search found
     wall_time: float = 0.0
 
 
-def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
+Check = Callable[[], CheckResult]
+
+
+def _timed(check: Check) -> CheckResult:
     start = time.perf_counter()
-    result = fn()
+    result = check()
     result.wall_time = time.perf_counter() - start
     return result
 
 
-def _wilf_check(
-    suite: str, name: str, left: PatternSet, right: PatternSet, n_max: int,
-    label: str = VERIFICATION,
-) -> CheckResult:
-    def run() -> CheckResult:
-        report = wilf_table(left, right, n_max)
-        details: dict = {
-            "counts": [[r.n, r.left_count, r.right_count] for r in report.rows]
-        }
-        if not report.equal:
-            details["first_divergence"] = report.first_divergence
-        return CheckResult(
-            suite, name, "wilf", label,
-            f"{format_pattern_set(left)} ~ {format_pattern_set(right)}",
-            report.equal,
-            {"left": format_pattern_set(left), "right": format_pattern_set(right),
-             "n_max": n_max},
-            details,
-        )
+def _evidence(check: Check, qualifier: str) -> CheckResult:
+    """A check of a conjecture: labelled EVIDENCE, its claim qualified."""
+    result = check()
+    return replace(result, label=EVIDENCE, claim=result.claim + qualifier)
 
-    return _timed(run)
+
+def _wilf_check(
+    suite: str, name: str, left: PatternSet, right: PatternSet, n_max: int
+) -> CheckResult:
+    report = wilf_table(left, right, n_max)
+    lhs, rhs = format_pattern_set(left), format_pattern_set(right)
+    witness = "" if report.equal else {
+        "counts": [[r.n, r.left_count, r.right_count] for r in report.rows],
+        "first_divergence": report.first_divergence,
+    }
+    return CheckResult(suite, name, "wilf", VERIFICATION, f"{lhs} ~ {rhs}",
+                       report.equal, {"left": lhs, "right": rhs, "n_max": n_max}, witness)
 
 
 def _shape_wilf_check(
-    suite: str, name: str, left: PatternSet, right: PatternSet, n_max: int,
-    label: str = VERIFICATION,
+    suite: str, name: str, left: PatternSet, right: PatternSet, n_max: int
 ) -> CheckResult:
-    def run() -> CheckResult:
-        report = shape_wilf_table(left, right, n_max)
-        details: dict = {"boards_checked": len(report.rows)}
-        if not report.equal:
-            n, board = report.first_divergence
-            row = report.rows[-1]
-            details["first_divergence"] = {
-                "n": n, "board": format_board(board),
-                "left_count": row.left_count, "right_count": row.right_count,
-            }
-        return CheckResult(
-            suite, name, "shape-wilf", label,
-            f"{format_pattern_set(left)} ~s {format_pattern_set(right)}",
-            report.equal,
-            {"left": format_pattern_set(left), "right": format_pattern_set(right),
-             "n_max": n_max},
-            details,
-        )
-
-    return _timed(run)
+    report = shape_wilf_table(left, right, n_max)
+    lhs, rhs = format_pattern_set(left), format_pattern_set(right)
+    witness = ""
+    if not report.equal:
+        row = report.rows[-1]
+        witness = {"boards_checked": len(report.rows), "first_divergence": {
+            "n": row.n, "board": format_board(row.board),
+            "left_count": row.left_count, "right_count": row.right_count,
+        }}
+    return CheckResult(suite, name, "shape-wilf", VERIFICATION, f"{lhs} ~s {rhs}",
+                       report.equal, {"left": lhs, "right": rhs, "n_max": n_max}, witness)
 
 
 def _bijection_check(suite: str, name: str, oracle, n_max: int) -> CheckResult:
-    def run() -> CheckResult:
-        report = verify_bijection(oracle, n_max)
-        details: dict = {
-            "boards_checked": report.boards_checked,
-            "fillings_checked": report.fillings_checked,
-        }
-        if not report.ok:
-            details["violation"] = {
-                "kind": report.violation.kind,
-                "board": format_board(report.violation.board),
-                "detail": report.violation.detail,
-            }
-        return CheckResult(
-            suite, name, "bijection", VERIFICATION,
-            f"{format_pattern_set(oracle.source)} ~s "
-            f"{format_pattern_set(oracle.target)} via {oracle.name}",
-            report.ok,
-            {"oracle": oracle.name, "n_max": n_max},
-            details,
-        )
-
-    return _timed(run)
+    report = verify_bijection(oracle, n_max)
+    witness = "" if report.ok else {
+        "boards_checked": report.boards_checked,
+        "fillings_checked": report.fillings_checked,
+        "violation": {
+            "kind": report.violation.kind,
+            "board": format_board(report.violation.board),
+            "detail": report.violation.detail,
+        },
+    }
+    return CheckResult(
+        suite, name, "bijection", VERIFICATION,
+        f"{format_pattern_set(oracle.source)} ~s "
+        f"{format_pattern_set(oracle.target)} via {oracle.name}",
+        report.ok, {"oracle": oracle.name, "n_max": n_max}, witness,
+    )
 
 
-def _identity_check(suite: str, name: str, lhs_text: str, expr: str) -> CheckResult:
-    def run() -> CheckResult:
-        lhs = evaluate_set_expression(lhs_text)
-        ok = symmetry_identity_check(lhs, expr)
-        return CheckResult(
-            suite, name, "symbolic-identity", VERIFICATION,
-            f"{lhs_text} = {expr}", ok,
-            {"lhs": lhs_text, "expression": expr},
-            {} if ok else {"evaluated": format_pattern_set(evaluate_set_expression(expr))},
-        )
-
-    return _timed(run)
+def _identity_check(suite: str, lhs_text: str, expr: str) -> CheckResult:
+    ok = symmetry_identity_check(evaluate_set_expression(lhs_text), expr)
+    return CheckResult(
+        suite, f"identity-{lhs_text}={expr}", "symbolic-identity", VERIFICATION, f"{lhs_text} = {expr}", ok,
+        {"lhs": lhs_text, "expression": expr},
+        "" if ok else {"evaluated": format_pattern_set(evaluate_set_expression(expr))},
+    )
 
 
 def _oeis_check(
-    suite: str, name: str, patterns: PatternSet, seq_id: str, opts: SuiteOptions,
-    label: str = VERIFICATION,
+    suite: str, name: str, patterns: PatternSet, seq_id: str, opts: SuiteOptions
 ) -> CheckResult:
     n_max = _size(opts.n_oeis, 9)
-
-    def run() -> CheckResult:
-        params = {"set": format_pattern_set(patterns), "id": seq_id, "n_max": n_max}
-        try:
-            seq = oeis.fetch_sequence(
-                seq_id, cache_dir=opts.cache_dir, offline=opts.offline
-            )
-        except oeis.OeisError as exc:
-            return CheckResult(
-                suite, name, "oeis-compare", label,
-                f"Av_n({format_pattern_set(patterns)}) matches {seq_id}",
-                False, params, {"error": str(exc)},
-            )
+    try:
+        seq = oeis.fetch_sequence(seq_id, cache_dir=opts.cache_dir, offline=opts.offline)
+    except oeis.OeisError as exc:
+        passed, witness = False, {"error": str(exc)}
+    else:
         counts = counts_within_budget(patterns, n_max, opts.time_budget)
         report = oeis.align_and_compare(counts, seq)
-        details = {
+        passed = report.full_match
+        witness = "" if passed else {
             "computed": counts,
             "provenance": seq.provenance,
             "matched_prefix_length": report.matched_prefix_length,
             "alignment_offset": report.alignment_offset,
+            **({"first_mismatch": list(report.first_mismatch)}
+               if report.first_mismatch else {}),
         }
-        if report.first_mismatch:
-            details["first_mismatch"] = list(report.first_mismatch)
-        return CheckResult(
-            suite, name, "oeis-compare", label,
-            f"Av_n({format_pattern_set(patterns)}) matches {seq_id}",
-            oeis.full_match(report, counts, seq), params, details,
-        )
+    return CheckResult(
+        suite, name, "oeis-compare", VERIFICATION,
+        f"Av_n({format_pattern_set(patterns)}) matches {seq_id}", passed,
+        {"set": format_pattern_set(patterns), "id": seq_id, "n_max": n_max}, witness,
+    )
 
-    return _timed(run)
+
+def _divergence_check(
+    suite: str, name: str, left_text: str, right_text: str, n_limit: int
+) -> CheckResult:
+    row = find_shape_wilf_divergence(
+        parse_pattern_set(left_text), parse_pattern_set(right_text), n_limit
+    )
+    witness = {} if row is None else {
+        "board": format_board(row.board),
+        "left_count": row.left_count,
+        "right_count": row.right_count,
+    }
+    return CheckResult(
+        suite, name, "divergence-search", VERIFICATION,
+        f"{left_text} is NOT ~s {right_text} (witness board required)", row is not None,
+        {"left": left_text, "right": right_text, "n_limit": n_limit}, witness,
+    )
 
 
 # ---------------------------------------------------------------------------
-# the suites
+# the suites: each lists its checks unrun, in order
 
-def suite_main_conjecture(opts: SuiteOptions) -> list[CheckResult]:
+def suite_main_conjecture(opts: SuiteOptions) -> list[Check]:
     """Replay the proof chain for {12345,12354} ~ {45123,45213}."""
     suite = "main-conjecture"
     n_shape = _size(opts.n_shape, 6)
-    n_bij = _size(opts.n_bijection, 5)
-    n_wilf = _size(opts.n_wilf, 9)
-    checks = [
-        _shape_wilf_check(
-            suite, "step-1-boards",
-            parse_pattern_set("{31245,32145}"), parse_pattern_set("{12345,21345}"),
-            n_shape,
-        ),
-        _bijection_check(
-            suite, "step-1-bijection",
-            transfer_oracle(fan_oracle(3, 3, 1), parse_pattern_set("{12}")),
-            n_bij,
-        ),
-        _shape_wilf_check(
-            suite, "step-2-boards",
-            parse_pattern_set("{12453,12543}"), parse_pattern_set("{21453,21543}"),
-            n_shape,
-        ),
-        _wilf_check(
-            suite, "equivalence",
-            HUB, parse_pattern_set("{45123,45213}"), n_wilf,
-        ),
-        _oeis_check(suite, "oeis", HUB, "A224295", opts),
+    return [
+        partial(_shape_wilf_check, suite, "step-1-boards",
+                parse_pattern_set("{31245,32145}"), parse_pattern_set("{12345,21345}"),
+                n_shape),
+        partial(_bijection_check, suite, "step-1-bijection",
+                transfer_oracle(fan_oracle(3, 3, 1), parse_pattern_set("{12}")),
+                _size(opts.n_bijection, 5)),
+        partial(_shape_wilf_check, suite, "step-2-boards",
+                parse_pattern_set("{12453,12543}"), parse_pattern_set("{21453,21543}"),
+                n_shape),
+        partial(_wilf_check, suite, "equivalence",
+                HUB, parse_pattern_set("{45123,45213}"), _size(opts.n_wilf, 9)),
+        partial(_oeis_check, suite, "oeis", HUB, "A224295", opts),
     ]
-    return checks
 
 
-def suite_corollary_13(opts: SuiteOptions) -> list[CheckResult]:
+def suite_corollary_13(opts: SuiteOptions) -> list[Check]:
     """The thirteen related sets and all decomposition identities."""
     suite = "corollary-13"
     n_wilf = _size(opts.n_wilf, 8)
     checks = []
     for lhs_text, exprs in COROLLARY_DECOMPOSITIONS:
         lhs = parse_pattern_set(lhs_text)
-        checks.append(_wilf_check(suite, f"wilf-{lhs_text}", lhs, HUB, n_wilf))
-        for expr in exprs:
-            checks.append(
-                _identity_check(suite, f"identity-{lhs_text}={expr}", lhs_text, expr)
-            )
-    checks.append(
-        _identity_check(
-            suite, f"identity-{EXTRA_IDENTITY[0]}={EXTRA_IDENTITY[1]}",
-            EXTRA_IDENTITY[0], EXTRA_IDENTITY[1],
-        )
-    )
+        checks.append(partial(_wilf_check, suite, f"wilf-{lhs_text}", lhs, HUB, n_wilf))
+        checks += [partial(_identity_check, suite, lhs_text, expr) for expr in exprs]
+    checks.append(partial(_identity_check, suite, *EXTRA_IDENTITY))
     return checks
 
 
-def suite_conjecture_fan_minus_one(opts: SuiteOptions) -> list[CheckResult]:
+def suite_conjecture_fan_minus_one(opts: SuiteOptions) -> list[Check]:
     """Evidence for the conjecture that moving the bottom position of the
     all-above POP from the last to the next-to-last slot preserves
     shape-Wilf-equivalence, for every k >= 2."""
     suite = "conjecture-fan-minus-one"
     n_shape = _size(opts.n_shape, 6)
-    checks = []
-    for k in (3, 4):
-        left = pop_to_pattern_set(below_all_pop(k, k))
-        right = pop_to_pattern_set(below_all_pop(k, k - 1))
-        check = _shape_wilf_check(
-            suite, f"k={k}", left, right, n_shape, label=EVIDENCE
-        )
-        check.claim += f" (conjectured; consistent up to n={n_shape})"
-        checks.append(check)
-    return checks
+    return [
+        partial(_evidence, partial(
+            _shape_wilf_check, suite, f"k={k}",
+            pop_to_pattern_set(below_all_pop(k, k)),
+            pop_to_pattern_set(below_all_pop(k, k - 1)), n_shape,
+        ), f" (conjectured; consistent up to n={n_shape})")
+        for k in (3, 4)
+    ]
 
 
-def suite_conjecture_13452(opts: SuiteOptions) -> list[CheckResult]:
+def suite_conjecture_13452(opts: SuiteOptions) -> list[Check]:
     """Evidence that Av({13452,23451}) is also counted by A224295."""
-    check = _oeis_check(
-        "conjecture-13452", "counts",
-        parse_pattern_set("{13452,23451}"), "A224295", opts, label=EVIDENCE,
-    )
-    check.claim += " (conjectured; finite check only)"
-    return [check]
+    return [partial(_evidence, partial(
+        _oeis_check, "conjecture-13452", "counts",
+        parse_pattern_set("{13452,23451}"), "A224295", opts,
+    ), " (conjectured; finite check only)")]
 
 
-def suite_negative_controls(opts: SuiteOptions) -> list[CheckResult]:
+def suite_negative_controls(opts: SuiteOptions) -> list[Check]:
     """The checker must be able to falsify: the valley pair {213,312} and
     the pair {123,132} are not shape-Wilf-equivalent and a smallest witness
     board must be found."""
-    suite = "negative-controls"
-    n_limit = _size(opts.n_shape, 6)
-
-    def run() -> CheckResult:
-        row = find_shape_wilf_divergence(
-            parse_pattern_set("{213,312}"), parse_pattern_set("{123,132}"), n_limit
-        )
-        found = row is not None
-        details = {}
-        if found:
-            details["witness"] = {
-                "board": format_board(row.board),
-                "left_count": row.left_count,
-                "right_count": row.right_count,
-            }
-        return CheckResult(
-            suite, "valley-vs-bottom-first", "divergence-search", VERIFICATION,
-            "{213,312} is NOT ~s {123,132} (witness board required)",
-            found,
-            {"left": "{213,312}", "right": "{123,132}", "n_limit": n_limit},
-            details,
-        )
-
-    return [_timed(run)]
+    return [partial(_divergence_check, "negative-controls", "valley-vs-bottom-first",
+                    "{213,312}", "{123,132}", _size(opts.n_shape, 6))]
 
 
-SUITES: dict[str, Callable[[SuiteOptions], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[SuiteOptions], list[Check]]] = {
     "main-conjecture": suite_main_conjecture,
     "corollary-13": suite_corollary_13,
     "conjecture-fan-minus-one": suite_conjecture_fan_minus_one,
@@ -344,13 +291,8 @@ SUITES: dict[str, Callable[[SuiteOptions], list[CheckResult]]] = {
 def run_suite(name: str, opts: Optional[SuiteOptions] = None) -> list[CheckResult]:
     """Run one named suite, or all of them in catalog order."""
     opts = opts or SuiteOptions()
-    if name == "all":
-        results = []
-        for suite_name in SUITES:
-            results.extend(SUITES[suite_name](opts))
-        return results
-    try:
-        return SUITES[name](opts)
-    except KeyError:
+    if name != "all" and name not in SUITES:
         known = ", ".join([*SUITES, "all"])
-        raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
+        raise ValueError(f"unknown suite {name!r}; known suites: {known}")
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    return [_timed(check) for suite in suites for check in suite(opts)]

@@ -2,6 +2,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -428,3 +429,107 @@ def test_every_text_option_exits_0_1_or_2(command, text):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), argv
+
+
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]  # C_0 .. C_10
+
+
+def test_oeis_compare_passes_when_the_anchor_is_not_the_first_entry(capsys, tmp_path):
+    # {123} counts C_1, C_2, ... so the anchor is index 1; at --n 11 the
+    # computed terms run one past the b-file, and nothing mismatches
+    (tmp_path / "A000108.txt").write_text(
+        "".join(f"{i} {c}\n" for i, c in enumerate(CATALAN))
+    )
+    for n in ("10", "11"):
+        code, out, _ = run(
+            capsys, "--offline", "--cache-dir", str(tmp_path), "--format", "json-lines",
+            "oeis", "compare", "A000108", "--set", "{123}", "--n", n,
+        )
+        rec = json.loads(out)
+        assert (code, rec["matched_prefix_length"], rec["alignment_offset"]) == (0, 10, 1), n
+        assert rec["first_mismatch"] == "", n
+
+
+def test_suite_oeis_check_passes_when_the_anchor_is_not_the_first_entry(capsys, tmp_path):
+    # the b-file starts at index 0 = 1, so n=1 anchors at index 1; at
+    # --n-oeis 5 the computed terms run one past the published data
+    (tmp_path / "A224295.txt").write_text("0 1\n1 1\n2 2\n3 6\n4 24\n")
+    for n in ("4", "5"):
+        code, out, _ = run(
+            capsys, "--offline", "--cache-dir", str(tmp_path), "--format", "json-lines",
+            "suite", "conjecture-13452", "--n-oeis", n,
+        )
+        rec = json.loads(out)
+        assert (code, rec["verdict"], rec["witness"]) == (0, "pass", ""), n
+
+
+def test_malformed_time_budget_exits_2_before_any_output(capsys, tmp_path):
+    commands = [
+        ("count-av", "--set", "{123,132}", "--n", "3"),
+        ("oeis", "compare", "--set", "{123,132}", "--n", "3"),
+    ]
+    # "--opt=value" keeps argparse from reading "-inf" as a flag
+    argvs = [("--time-budget=" + b, *c) for b in ("nan", "-1", "-inf") for c in commands]
+    argvs.append(("--time-budget=-1", "suite", "conjecture-13452"))
+    for argv in argvs:
+        code, out, err = run(capsys, "--offline", "--cache-dir", str(tmp_path),
+                             "--format", "csv", *argv)
+        assert (code, out) == (2, ""), argv
+        budget = argv[0].split("=")[1]
+        assert err == f"error: time budget must be >= 0 seconds, got {float(budget)}\n", argv
+
+
+def test_importing_the_cli_leaves_the_network_stack_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, shapewilf, shapewilf.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
+
+
+FORCED_FAILURES = Path(__file__).parent / "data" / "suite_all_forced_failures.jsonl"
+
+
+def test_every_check_kind_fails_with_its_pinned_witness(capsys, tmp_path, monkeypatch):
+    """Each kind of suite check is made to fail through the names the
+    suites look up; every FAIL record, witness included, is pinned."""
+    from dataclasses import replace
+
+    from shapewilf import bijections, equivalence, suites
+    from shapewilf.boards import Filling
+
+    other = frozenset({(1, 2)})
+    monkeypatch.setattr(suites, "wilf_table",
+                        lambda left, right, n: equivalence.wilf_table(left, other, n))
+    monkeypatch.setattr(suites, "shape_wilf_table",
+                        lambda left, right, n: equivalence.shape_wilf_table(left, other, n))
+    # a map whose images leave the board: a shape violation on the first board
+    shift = lambda f, trace=None: Filling(f.board, tuple(r + 1 for r in f.rows))
+    monkeypatch.setattr(suites, "verify_bijection", lambda oracle, n: bijections.verify_bijection(
+        replace(oracle, apply=shift), n))
+    monkeypatch.setattr(suites, "symmetry_identity_check", lambda lhs, expr: False)
+    monkeypatch.setattr(suites, "find_shape_wilf_divergence", lambda left, right, n: None)
+    (tmp_path / "A224295.txt").write_text("1 1\n2 2\n3 6\n4 24\n5 119\n")
+
+    code, out, err = run(
+        capsys, "--offline", "--cache-dir", str(tmp_path), "--format", "json-lines",
+        "suite", "all", "--n-wilf", "4", "--n-shape", "3", "--n-bijection", "3",
+        "--n-oeis", "5",
+    )
+    assert (code, err) == (1, "0/45 checks passed\n")
+    assert out == FORCED_FAILURES.read_text()
+    witnesses = {json.loads(line)["kind"]: json.loads(line)["witness"]
+                 for line in out.splitlines()}
+    assert witnesses["divergence-search"] == {}
+    assert witnesses["oeis-compare"]["first_mismatch"] == [5, 118, 119]
+
+    # a b-file that does not parse fails the OEIS check with the error
+    (tmp_path / "A224295.txt").write_text("1 1\n2 x\n")
+    code, out, _ = run(
+        capsys, "--offline", "--cache-dir", str(tmp_path), "--format", "json-lines",
+        "suite", "conjecture-13452", "--n-oeis", "5",
+    )
+    assert code == 1
+    assert json.loads(out)["witness"] == {"error": "line 2: bad value: '2 x'"}

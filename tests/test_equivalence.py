@@ -293,3 +293,31 @@ def test_budget_after_a_cache_hit_projects_from_the_stored_walk(monkeypatch):
     # levels below the end of the stored list are lookups; then it decides
     assert len(counts_within_budget(set_reverse(HUB), 3, 0.05)) == 5 and walks == [5]
     assert len(counts_within_budget(HUB, 5, 0.07)) == 6 and walks == [5, 6]
+
+
+def test_a_budget_that_is_not_at_least_0_raises_before_counting(monkeypatch):
+    from shapewilf.suites import SuiteOptions
+
+    calls = []
+    monkeypatch.setattr(equivalence, "avoider_counts", lambda p, n: calls.append(n) or [1] * n)
+    for budget in (float("nan"), -1.0, -1e-9, float("-inf")):
+        with pytest.raises(ValueError, match="time budget must be >= 0 seconds"):
+            counts_within_budget(HUB, 3, budget)
+        with pytest.raises(ValueError, match="time budget must be >= 0 seconds"):
+            SuiteOptions(time_budget=budget)
+    assert calls == []
+    assert counts_within_budget(HUB, 3, float("inf")) == [1] * BUDGET_CAP
+    assert SuiteOptions(time_budget=float("inf")).time_budget == float("inf")
+
+
+def test_full_tables_keep_the_first_divergence():
+    # every row from n=2 on differs, and 9 boards differ up to n=5; the
+    # full table lists them all but the first stays the divergence
+    report = wilf_table(parse_pattern_set("{123}"), parse_pattern_set("{12}"), 4,
+                        fail_fast=False)
+    assert [r.equal for r in report.rows] == [True, False, False, False]
+    assert report.first_divergence == 2 and {r.board for r in report.rows} == {None}
+    report = shape_wilf_table(parse_pattern_set("{213,312}"),
+                              parse_pattern_set("{123,132}"), 5, fail_fast=False)
+    assert sum(not r.equal for r in report.rows) == 9 and len(report.rows) == 64
+    assert report.first_divergence == (4, (4, 4, 4, 3))

@@ -127,3 +127,17 @@ def test_alignment_capped_by_published_data():
     report = align_and_compare([1, 2, 6, 24, 118], seq)
     assert report.matched_prefix_length == 3
     assert report.first_mismatch is None
+
+
+def test_full_match_is_bounded_by_the_entries_from_the_anchor_on():
+    # Catalan C_0 .. C_10; the computed C_1 .. C_11 anchor at index 1, so
+    # only 10 entries lie from the anchor on, and the 11th term is unpublished
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786]
+    seq = parse_b_file("".join(f"{i} {c}\n" for i, c in enumerate(catalan[:11])))
+    for terms in (catalan[1:11], catalan[1:]):
+        report = align_and_compare(terms, seq)
+        assert (report.alignment_offset, report.matched_prefix_length) == (1, 10)
+        assert report.first_mismatch is None and report.full_match, len(terms)
+    wrong = align_and_compare(catalan[1:10] + [16797], seq)
+    assert wrong.first_mismatch == (10, 16797, 16796) and not wrong.full_match
+    assert not align_and_compare([3, 4, 5], seq).full_match  # no anchor
