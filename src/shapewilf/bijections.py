@@ -330,13 +330,19 @@ def direct_sum_transfer(
         occurs(p, rows, board, found=found)
     # cell (c, r) is red iff some occurrence starts right of column c with
     # every row above r, so a column's red cells are the bottom run of rows
-    # below the highest lowest row among those occurrences; the empty
-    # pattern occurs above and right of every cell
-    red_top = [0] * m
+    # below the highest lowest row among those occurrences: the highest
+    # lowest row per start column, then a suffix maximum from the right;
+    # index m holds the empty occurrence, above and right of every cell
+    reach = [0] * (m + 1)
     for occ in found:
-        low = min((rows[i - 1] for i in occ), default=m + 1)
-        for c in range(occ[0] - 1 if occ else m):
-            red_top[c] = max(red_top[c], min(board[c], low - 1))
+        start = occ[0] - 1 if occ else m
+        low = min(rows[i - 1] for i in occ) if occ else m + 1
+        reach[start] = max(reach[start], low - 1)
+    red_top = [0] * m
+    best = reach[m]
+    for c in range(m - 1, -1, -1):
+        red_top[c] = min(board[c], best)
+        best = max(best, reach[c])
 
     surv_cols = [c for c in range(1, m + 1) if rows[c - 1] <= red_top[c - 1]]
     surv_col_set = set(surv_cols)

@@ -6,10 +6,11 @@ Global flags (before the subcommand): --format {table,csv,json-lines},
 --offline, --cache-dir, --time-budget, --timings.
 
 Exit status: 0 = success / verdict equal, 1 = mathematical divergence or
-failed verification, 2 = usage error.  This contract is stable for
-scripting.  json-lines output is byte-identical across runs for fixed
-parameters (and offline OEIS mode); per-check wall times are only emitted
-under --timings so as not to break that.
+failed verification, 2 = usage error, reported as one "error: ..." line
+on stderr.  This contract is stable for scripting.  json-lines output is
+byte-identical across runs for fixed parameters (and offline OEIS mode);
+per-check wall times are only emitted under --timings so as not to break
+that.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .perms import format_pattern_set, parse_pattern_set
 from .pops import fan_pop, pop_to_pattern_set
@@ -259,8 +260,17 @@ def cmd_oeis(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error, from the main parser or a subparser (they
+    share this class), is one ``error:`` line on stderr and exit 2, like
+    every other usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapewilf",
         description="Exhaustive (shape-)Wilf-equivalence checking for "
         "permutation patterns, POPs and Ferrers-board fillings.",

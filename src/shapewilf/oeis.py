@@ -10,8 +10,9 @@ available.  The network stack is imported only for a fetch.
 Comparison against computed avoider counts uses value-based alignment:
 the published offset of a sequence is never trusted, the computed n=1
 term is matched against every equal b-file entry instead and the longest
-verified run wins.  The report's ``full_match`` is the one pass/fail
-verdict of ``oeis compare`` and the suites.
+verified run wins, a run with no mismatch winning a tie.  The report's
+``full_match`` is the one pass/fail verdict of ``oeis compare`` and the
+suites.
 """
 from __future__ import annotations
 
@@ -178,9 +179,11 @@ def align_and_compare(computed: Seq[int], seq: Sequence) -> ComparisonReport:
     Match computed terms (indexed by n starting at 1) against a run of
     consecutive b-file entries.  The alignment anchors the n=1 term on
     every b-file entry with an equal value; the anchor verifying the
-    longest prefix wins (ties go to the earliest anchor).  The run stops
-    at the first mismatch or at the end of the published data, so it is
-    a full match when no term mismatches, wherever the anchor sits.
+    longest prefix wins.  Among equal prefixes, a run with no mismatch
+    beats one that stops at a mismatch, and then the earliest anchor
+    wins.  The run stops at the first mismatch or at the end of the
+    published data, so it is a full match when no term mismatches,
+    wherever the anchor sits.
 
     >>> seq = parse_b_file("0 1\\n1 1\\n2 2\\n3 6\\n4 24\\n")
     >>> report = align_and_compare([1, 2, 6, 24, 120], seq)
@@ -207,6 +210,8 @@ def align_and_compare(computed: Seq[int], seq: Sequence) -> ComparisonReport:
                 mismatch = (n, term, published)
                 break
             matched += 1
-        if matched > best.matched_prefix_length or best.alignment_offset is None:
+        if best.alignment_offset is None or (matched, mismatch is None) > (
+            best.matched_prefix_length, best.first_mismatch is None
+        ):
             best = ComparisonReport(matched, idx, mismatch)
     return best

@@ -220,6 +220,13 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # new entries that would complete a pattern: the anchored search lists
 # only the prefix occurrences ending at the node's own last entry, and the
 # rest are inherited from the parent's frontier.
+#
+# The hot searches are closure-free: each recursion is a module-level
+# function that takes its state as arguments, so a call makes no reference
+# cycle and its state is freed by reference counting when it returns.  A
+# nested function that calls itself refers to itself through its own cell,
+# a cycle that only the cyclic garbage collector frees, and the kernels run
+# tens of thousands of times a pass.
 
 # one prefix: q, then per free position j < len(q) - 1 its tight refs and
 # whether q_j lies below the anchored last entry, then the patterns' ends
@@ -300,36 +307,6 @@ def anchored_intervals(
                 out.extend((0, top, 0) for _ in ends)
         return out
     anchor = rows[-1]
-
-    # emit and walk read the bounds, ends, k and chosen of the prefix that
-    # the loop at the end is searching for
-    def emit(high: int) -> None:
-        for below, above in ends:
-            out.append((
-                chosen[below] if below >= 0 else 0,
-                chosen[above] if above >= 0 else top,
-                high,
-            ))
-
-    def walk(j: int, start: int, high: int) -> None:
-        lo, hi, under = bounds[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else top
-        # fold in the comparison against the anchored last entry
-        if under:
-            if anchor < hiv:
-                hiv = anchor
-        elif anchor > lov:
-            lov = anchor
-        for i in range(start, n - k + j + 1):
-            v = rows[i]
-            if lov < v < hiv:
-                chosen[j] = v
-                if j == k - 2:
-                    emit(v if v > high else high)
-                else:
-                    walk(j + 1, i + 1, v if v > high else high)
-
     for q, bounds, ends in table:
         k = len(q)
         if k == 0 or n < k:
@@ -337,10 +314,49 @@ def anchored_intervals(
         chosen = [0] * k
         chosen[-1] = anchor
         if k == 1:
-            emit(anchor)
+            _emit(out, ends, chosen, top, anchor)
         else:
-            walk(0, 0, anchor)
+            _anchored_walk(out, rows, top, bounds, ends, chosen, 0, 0, anchor)
     return out
+
+
+def _emit(out: list, ends, chosen: list[int], top: int, high: int) -> None:
+    for below, above in ends:
+        out.append((
+            chosen[below] if below >= 0 else 0,
+            chosen[above] if above >= 0 else top,
+            high,
+        ))
+
+
+def _anchored_walk(
+    out: list, rows: Sequence[int], top: int, bounds, ends,
+    chosen: list[int], j: int, start: int, high: int,
+) -> None:
+    """Choose free position j of a prefix, then recurse; the last entry of
+    ``chosen`` is the anchored last entry of ``rows``."""
+    lo, hi, under = bounds[j]
+    lov = chosen[lo] if lo >= 0 else 0
+    hiv = chosen[hi] if hi >= 0 else top
+    # fold in the comparison against the anchored last entry
+    anchor = chosen[-1]
+    if under:
+        if anchor < hiv:
+            hiv = anchor
+    elif anchor > lov:
+        lov = anchor
+    last = j == len(bounds) - 1
+    for i in range(start, len(rows) - len(chosen) + j + 1):
+        v = rows[i]
+        if lov < v < hiv:
+            chosen[j] = v
+            if last:
+                _emit(out, ends, chosen, top, v if v > high else high)
+            else:
+                _anchored_walk(
+                    out, rows, top, bounds, ends, chosen, j + 1, i + 1,
+                    v if v > high else high,
+                )
 
 
 def occurs(
@@ -375,31 +391,38 @@ def occurs(
     if k > n:
         return False
     hits = len(found) if found is not None else 0
-    refs = _tight_refs(p)
-    top = max(rows) + 1
-    idxs = [0] * k
-    chosen = [0] * k
+    return _occurs_walk(
+        _tight_refs(p), rows, heights, found, max(rows) + 1, [0] * k, [0] * k, 0, 0, 0
+    ) or (found is not None and len(found) > hits)
 
-    def walk(j: int, start: int, cur_max: int) -> bool:
-        lo, hi = refs[j]
-        lov = chosen[lo] if lo >= 0 else 0
-        hiv = chosen[hi] if hi >= 0 else top
-        for i in range(start, n - (k - j - 1)):
-            v = rows[i]
-            if lov < v < hiv:
-                new_max = v if v > cur_max else cur_max
-                idxs[j] = i + 1
-                if j < k - 1:
-                    chosen[j] = v
-                    if walk(j + 1, i + 1, new_max):
-                        return True
-                elif heights is None or new_max <= heights[i]:
-                    if found is None:
-                        return True
-                    found.append(tuple(idxs))
-        return False
 
-    return walk(0, 0, 0) or (found is not None and len(found) > hits)
+def _occurs_walk(
+    refs, rows: Sequence[int], heights: Optional[Sequence[int]],
+    found: Optional[list], top: int, idxs: list[int], chosen: list[int],
+    j: int, start: int, cur_max: int,
+) -> bool:
+    """Choose pattern position j of ``occurs``, then recurse; ``idxs`` and
+    ``chosen`` hold the 1-based indices and the values of positions < j."""
+    lo, hi = refs[j]
+    lov = chosen[lo] if lo >= 0 else 0
+    hiv = chosen[hi] if hi >= 0 else top
+    k = len(refs)
+    for i in range(start, len(rows) - (k - j - 1)):
+        v = rows[i]
+        if lov < v < hiv:
+            new_max = v if v > cur_max else cur_max
+            idxs[j] = i + 1
+            if j < k - 1:
+                chosen[j] = v
+                if _occurs_walk(
+                    refs, rows, heights, found, top, idxs, chosen, j + 1, i + 1, new_max
+                ):
+                    return True
+            elif heights is None or new_max <= heights[i]:
+                if found is None:
+                    return True
+                found.append(tuple(idxs))
+    return False
 
 
 def contains(p: Perm, w: Perm) -> bool:

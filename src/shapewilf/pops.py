@@ -158,29 +158,33 @@ def pop_occurrences(p: Pop, w: Perm) -> int:
             constraints[b - 1].append((a - 1, True))   # chosen[a] < v
         else:
             constraints[a - 1].append((b - 1, False))  # v < chosen[b]
-    chosen = [0] * k
+    return _pop_walk(constraints, w, [0] * k, 0, 0)
 
-    def walk(j: int, start: int) -> int:
-        if j == k:
-            return 1
-        total = 0
-        for i in range(start, n - (k - j - 1)):
-            v = w[i]
-            ok = True
-            for a, is_lower in constraints[j]:
-                if is_lower:
-                    if chosen[a] >= v:
-                        ok = False
-                        break
-                elif v >= chosen[a]:
+
+def _pop_walk(
+    constraints: list[list[tuple[int, bool]]], w: Perm, chosen: list[int], j: int, start: int
+) -> int:
+    """Occurrences completing the values ``chosen`` for positions < j; a
+    module-level recursion, so a search leaves no reference cycle."""
+    k = len(chosen)
+    if j == k:
+        return 1
+    total = 0
+    for i in range(start, len(w) - (k - j - 1)):
+        v = w[i]
+        ok = True
+        for a, is_lower in constraints[j]:
+            if is_lower:
+                if chosen[a] >= v:
                     ok = False
                     break
-            if ok:
-                chosen[j] = v
-                total += walk(j + 1, i + 1)
-        return total
-
-    return walk(0, 0)
+            elif v >= chosen[a]:
+                ok = False
+                break
+        if ok:
+            chosen[j] = v
+            total += _pop_walk(constraints, w, chosen, j + 1, i + 1)
+    return total
 
 
 def pop_avoids(p: Pop, w: Perm) -> bool:

@@ -76,6 +76,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "--threads", "2", "count-av", "--set", "12", "--n", "3")[0] == 2
 
 
+def test_help_goes_to_stdout_and_exits_0(capsys):
+    for argv in [("-h",), ("count-av", "-h"), ("suite", "--help")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: shapewilf "), argv
+
+
 def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
     for argv in [
         ("count-av", "--set", "{21,12,}", "--n", "3"),
@@ -94,6 +101,11 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         ("bijection", "fan-bottom-last", "--k", "0", "--verify", "2"),
         ("bijection", "fan", "--k", "-3", "--source-apex", "1", "--target-apex", "3",
          "--verify", "2"),
+        # argparse's own usage errors; it reads "-inf" as a flag
+        ("--time-budget", "-inf", "count-av", "--set", "{123,132}"),
+        ("count-av", "--n", "3"),
+        ("nonsense",),
+        ("check", "wilf", "--left", "12", "--right", "21", "--n", "x"),
     ]:
         code, out, err = run(capsys, "--offline", *argv)
         assert code == 2, argv

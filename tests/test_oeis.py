@@ -5,6 +5,7 @@ from shapewilf.equivalence import avoider_counts
 from shapewilf.perms import parse_pattern_set
 from shapewilf.oeis import (
     BFileParseError,
+    ComparisonReport,
     OeisError,
     UnknownSequenceError,
     align_and_compare,
@@ -141,3 +142,17 @@ def test_full_match_is_bounded_by_the_entries_from_the_anchor_on():
     wrong = align_and_compare(catalan[1:10] + [16797], seq)
     assert wrong.first_mismatch == (10, 16797, 16796) and not wrong.full_match
     assert not align_and_compare([3, 4, 5], seq).full_match  # no anchor
+
+
+def test_a_tie_goes_to_the_anchor_with_no_mismatch():
+    # anchors 1 and 4 both verify two terms; anchor 1 stops at a mismatch
+    # and anchor 4 at the end of the published data
+    seq = parse_b_file("1 1\n2 2\n3 5\n4 1\n5 2\n")
+    report = align_and_compare([1, 2, 6], seq)
+    assert report == ComparisonReport(2, 4, None) and report.full_match
+    # a tie between two runs with no mismatch goes to the earliest anchor
+    seq = parse_b_file("1 1\n2 2\n3 3\n4 1\n5 2\n6 3\n")
+    assert align_and_compare([1, 2, 3], seq) == ComparisonReport(3, 1, None)
+    # a longer run still beats a shorter one with no mismatch
+    seq = parse_b_file("1 1\n2 2\n3 5\n4 1\n")
+    assert align_and_compare([1, 2, 6], seq) == ComparisonReport(2, 1, (3, 6, 5))

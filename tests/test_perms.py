@@ -1,4 +1,5 @@
 """Permutation operations, pattern containment, symmetry invariances."""
+import gc
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from shapewilf.perms import (
     all_perms,
+    anchored_intervals,
     apply_ops,
     avoids_all,
     complement,
@@ -29,6 +31,7 @@ from shapewilf.perms import (
 )
 from shapewilf.equivalence import child_forbidden
 from shapewilf.boards import child_blocks
+from shapewilf.pops import fan_pop, pop_occurrences
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
@@ -197,6 +200,35 @@ def test_occurs_reports_only_the_hits_of_its_own_call():
     assert occurs((1, 2), (1, 2), found=hits)
     assert hits == [(1, 2), (1, 2)]
     assert not occurs((1, 2, 3), (1, 2), found=hits)
+
+
+def test_occurrence_searches_leave_no_reference_cycles():
+    # every search frees its state by reference counting when it returns,
+    # so the hot kernels leave nothing for the cyclic collector; the
+    # recursive closures made once per walk (boards._walk.descend,
+    # equivalence._extension_walk.grow, boards.enumerate_boards.grow) are
+    # not called here and may stay
+    patterns = [(1, 3, 2), (2, 1, 3), (1, 2)]
+    table = prefix_table(patterns)
+    fan = fan_pop(3, 2)
+    words = list(all_perms(5))
+    heights = (5, 5, 4, 3, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        for w in words:
+            for p in patterns:
+                occurs(p, w)
+                occurs(p, w, heights)
+                occurs(p, w, heights, found=[])
+            anchored_intervals(table, w, 6)
+            child_blocks(table, [6] * 7, w)
+            child_forbidden(table, 0, w)
+            pop_occurrences(fan, w)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0
 
 
 def test_direct_sum_worked_example():
