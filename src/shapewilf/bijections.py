@@ -27,19 +27,27 @@ level whose top-row 1 is not a valid slot.  The maps:
   with an in-board occurrence of some pattern of T strictly above and to
   the right) and a "blue" rest, mapping the squashed red subfilling with
   the inner bijection, and reinserting the blue rows and columns.  The red
-  region is read off one list of the in-board tail occurrences.
+  region is read off one list of the in-board tail occurrences; when it
+  holds no 1 the filling is its own image and the inner map is skipped.
+
+``verify_bijection`` checks a map exhaustively on every board up to a
+size.  Its avoidance checks use the corner profile of each distinct row
+tuple (``boards.corner_profile``), built once per level, not the reference
+walker once per filling.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Callable, NamedTuple, Optional
 
-from .perms import PatternSet, format_pattern_set, occurs, set_direct_sum
+from .perms import Perm, PatternSet, format_pattern_set, occurs, set_direct_sum
 from .boards import (
     Board,
     Filling,
+    corner_profile,
     filling_avoids_all,
     filling_counts,
     fillings_by_board,
@@ -317,7 +325,10 @@ def direct_sum_transfer(
     deleted, the red remainder is squashed bottom-left into a smaller
     Ferrers board (verified, not assumed), mapped with the inner bijection,
     and the blue rows and columns are reinserted unchanged.  A filling
-    avoiding the tail everywhere is all blue and maps to itself.  A
+    whose red region holds no 1 (one avoiding the tail everywhere is all
+    blue) maps to itself at once: the squashed red subfilling is the empty
+    filling, the image of itself under any shape-preserving inner map, so
+    the inner map is not run; the trace still gets its transfer line.  A
     non-avoider has a red subfilling that contains ``inner.source``, so the
     inner map raises at its first invalid peel level.
     """
@@ -345,6 +356,11 @@ def direct_sum_transfer(
         best = max(best, reach[c])
 
     surv_cols = [c for c in range(1, m + 1) if rows[c - 1] <= red_top[c - 1]]
+    if not surv_cols:
+        # no red 1: the empty board's one filling is its own image under
+        # any shape-preserving inner map, so f is too
+        _trace_transfer(trace, _EMPTY, list(range(1, m + 1)))
+        return f
     surv_col_set = set(surv_cols)
     blue_rows = {rows[c - 1] for c in range(1, m + 1) if c not in surv_col_set}
     surv_rows = [r for r in range(1, board[0] + 1) if r not in blue_rows]
@@ -360,11 +376,7 @@ def direct_sum_transfer(
         raise BijectionError(
             f"squashed red region is not a Ferrers transversal: {exc}"
         ) from exc
-    if trace is not None:
-        trace.append(
-            f"transfer: {len(surv_cols)} red columns -> inner board "
-            f"{format_filling(sub)}; blue rows {sorted(blue_rows)}"
-        )
+    _trace_transfer(trace, sub, sorted(blue_rows))
 
     mapped = inner.apply(sub)
     if mapped.board != sub.board:
@@ -377,6 +389,14 @@ def direct_sum_transfer(
     for t, c in enumerate(surv_cols):
         out_rows[c - 1] = surv_rows[mapped.rows[t] - 1]
     return Filling(board, tuple(out_rows))
+
+
+def _trace_transfer(trace: Trace, sub: Filling, blue_rows: list[int]) -> None:
+    if trace is not None:
+        trace.append(
+            f"transfer: {len(sub.rows)} red columns -> inner board "
+            f"{format_filling(sub)}; blue rows {blue_rows}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +479,19 @@ class VerificationReport:
         )
 
 
+def _contains(
+    profiles: dict[Perm, list[int]], patterns: PatternSet, rows: Perm,
+    heights: tuple[int, ...],
+) -> bool:
+    """In-board containment of the set in (board, rows), where ``heights``
+    is ``(0,) + board``; the rows' corner profile is built once and kept
+    in ``profiles``."""
+    need = profiles.get(rows)
+    if need is None:
+        need = profiles[rows] = corner_profile(rows, patterns)
+    return any(map(le, need, heights))
+
+
 def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     """
     Exhaustively check the oracle's raw ``apply`` on every board with up to
@@ -468,6 +501,13 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     first violation.  Each level streams its sources board by board from
     one ``fillings_by_board`` walk and takes its target counts from one
     ``filling_counts`` walk.
+
+    The avoidance checks are the reference walker's, through
+    ``corner_profile``: one permutation fits many boards, so each level
+    lists the occurrences of each distinct source row tuple and of each
+    distinct image row tuple once, and decides each board by one
+    comparison per column.  The profiles are dropped at the end of the
+    level, so memory stays bounded by one level's distinct row tuples.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
@@ -476,13 +516,16 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     target = sorted(oracle.target)
     for n in range(1, n_max + 1):
         target_counts = filling_counts(n, target)
+        source_profiles: dict[Perm, list[int]] = {}
+        image_profiles: dict[Perm, list[int]] = {}
         for board, listed in fillings_by_board(n, source):
             report.boards_checked += 1
+            heights = (0,) + board
             seen: dict[Filling, Filling] = {}
             for rows in listed:
                 f = Filling(board, rows)
                 report.fillings_checked += 1
-                if not filling_avoids_all(f, source):
+                if _contains(source_profiles, source, rows, heights):
                     report.violation = Violation(
                         "domain", board, f, f"{format_filling(f)} contains the source set"
                     )
@@ -504,7 +547,7 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
                         f"{format_filling(f)} mapped off-board to {format_filling(g)}",
                     )
                     return report
-                if not filling_avoids_all(g, target):
+                if _contains(image_profiles, target, g.rows, heights):
                     report.violation = Violation(
                         "codomain", board, (f, g),
                         f"{format_filling(f)} -> {format_filling(g)} contains the target set",

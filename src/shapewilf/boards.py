@@ -12,6 +12,12 @@ carry 1's order-isomorphic to p and the top-right corner cell
 single corner test is equivalent to requiring the whole k x k submatrix
 grid to sit inside the board.
 
+In-board avoidance has two views.  ``filling_contains`` runs the
+reference walker on one filling.  ``corner_profile`` lists a row
+sequence's occurrences once and gives, per column, the least height at
+which that column closes one; every board the rows fit is then decided
+by one comparison per column.
+
 One walk over the trie of column heights generates every filling, so
 boards that share a prefix of heights share each partial filling over
 it; listing, counting and one board's fillings are views of that walk.
@@ -236,6 +242,38 @@ def filling_contains(f: Filling, p: Perm) -> bool:
 
 def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
     return not any(filling_contains(f, p) for p in patterns)
+
+
+def corner_profile(rows: Sequence[int], patterns: Iterable[Perm]) -> list[int]:
+    """
+    In-board containment of a pattern set on every board a row sequence
+    fits, from one listing of its occurrences by the reference walker.
+    Entry c, for a 1-based column c, is the least highest row among the
+    occurrences whose last entry is in column c, and len(rows) + 1 if
+    there is none.  Entry 0 is the column of the empty pattern's one
+    occurrence, with highest row 0.  So a filling (board, rows) contains a
+    pattern of the set in-board exactly when some entry is at most the
+    height of its column in ``(0,) + board``: the corner test of ``occurs``.
+
+    >>> need = corner_profile((2, 1, 3), {(1, 2)})
+    >>> need
+    [4, 4, 4, 3]
+    >>> any(r <= h for r, h in zip(need, (0, 3, 3, 2)))  # board (3, 3, 2)
+    False
+    >>> any(r <= h for r, h in zip(need, (0, 3, 3, 3)))  # board (3, 3, 3)
+    True
+    """
+    m = len(rows)
+    found: list[tuple[int, ...]] = []
+    for p in patterns:
+        occurs(p, rows, found=found)
+    need = [m + 1] * (m + 1)
+    for occ in found:
+        c = occ[-1] if occ else 0
+        high = max([rows[i - 1] for i in occ], default=0)
+        if high < need[c]:
+            need[c] = high
+    return need
 
 
 def child_blocks(table: PrefixTable, blocks: list[int], rows: Sequence[int]) -> list[int]:

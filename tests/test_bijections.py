@@ -1,4 +1,6 @@
 """The four constructive bijections and the verification harness."""
+import hashlib
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,11 +14,14 @@ from shapewilf.boards import (
     filling_contains,
     filling_from_permutation,
     fillings,
+    fillings_by_board,
+    format_filling,
     make_filling,
     square_board,
     staircase_board,
     transpose_filling,
 )
+from shapewilf import bijections
 from shapewilf.bijections import (
     TOP_ROW_PAIRS,
     BijectionError,
@@ -242,6 +247,28 @@ def test_transfer_with_the_empty_tail_is_the_inner_map():
         assert direct_sum_transfer(f, {()}, inner) == inner.apply(f)
 
 
+def test_transfer_images_and_traces_are_pinned_up_to_n6():
+    # every source filling with n <= 6 of the pinned transfer, for four
+    # tails: a filling whose red region holds no 1 is returned without
+    # running the inner map, with the same image and the same trace line
+    digest = hashlib.sha256()
+    count = 0
+    for tail in ({(1, 2)}, {(2, 1)}, {(1, 3, 2)}, {()}):
+        oracle = transfer_oracle(fan_oracle(3, 3, 1), tail)
+        for n in range(1, 7):
+            for board, listed in fillings_by_board(n, oracle.source):
+                for rows in listed:
+                    f = Filling(board, rows)
+                    trace = []
+                    g = oracle.apply(f, trace)
+                    count += 1
+                    digest.update(f"{format_filling(f)} {format_filling(g)} {trace}\n".encode())
+    assert count == 36946
+    assert digest.hexdigest() == (
+        "284e7e45500b4d82dbf589bae13c583515162ffa0d1590cb15fb5961b221c798"
+    )
+
+
 def test_transfer_precondition_violation():
     f = filling_from_permutation(square_board(5), parse_perm("12345"))
     with pytest.raises(BijectionError):
@@ -334,6 +361,51 @@ def test_verify_reports_the_first_violation_in_board_order():
     one = parse_pattern_set("{1}")
     report = verify_bijection(BijectionOracle("none", one, one, lambda f: f), 4)
     assert (report.ok, report.boards_checked, report.fillings_checked) == (True, 22, 0)
+
+
+# 3412 fits the boards (4, 4, 4, 2) and (4, 4, 3, 3), listed in that
+# order; 312 occurs in it in-board only on the second, through columns
+# 2, 3 and 4 with highest row 3
+PER_BOARD_ROWS = (3, 4, 1, 2)
+EARLIER, LATER = (4, 4, 4, 2), (4, 4, 3, 3)
+
+
+def test_verify_decides_the_codomain_per_board_not_per_row_tuple():
+    # identity on {312}-avoiders, except that 4321 on the later board maps
+    # to 3412, an image the earlier board already had
+    avoid = parse_pattern_set("{312}")
+    assert filling_avoids_all(Filling(EARLIER, PER_BOARD_ROWS), avoid)
+    late, image = Filling(LATER, (4, 3, 2, 1)), Filling(LATER, PER_BOARD_ROWS)
+    oracle = BijectionOracle(
+        "late image", avoid, avoid, lambda f, trace=None: image if f == late else f
+    )
+    report = verify_bijection(oracle, 4)
+    v = report.violation
+    assert (v.kind, v.board, v.witness) == ("codomain", LATER, (late, image))
+    assert report.describe() == (
+        "late image: codomain violation on board (4, 4, 3, 3): "
+        "[4,4,3,3]/4321 -> [4,4,3,3]/3412 contains the target set"
+    )
+
+
+def test_verify_decides_the_domain_per_board_not_per_row_tuple(monkeypatch):
+    # a listing that also hands 3412 to the later board, where it does not
+    # avoid the source set; the earlier board lists it rightly
+    avoid = parse_pattern_set("{312}")
+    listing = bijections.fillings_by_board
+
+    def leaky(n, patterns):
+        for board, listed in listing(n, patterns):
+            yield board, sorted(listed + [PER_BOARD_ROWS]) if board == LATER else listed
+
+    monkeypatch.setattr(bijections, "fillings_by_board", leaky)
+    report = verify_bijection(BijectionOracle("identity", avoid, avoid, lambda f: f), 4)
+    v = report.violation
+    assert (v.kind, v.board, v.witness) == ("domain", LATER, Filling(LATER, PER_BOARD_ROWS))
+    assert report.describe() == (
+        "identity: domain violation on board (4, 4, 3, 3): "
+        "[4,4,3,3]/3412 contains the source set"
+    )
 
 
 def test_verify_zero_boards_is_vacuously_ok():

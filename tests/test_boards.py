@@ -3,15 +3,17 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapewilf.perms import all_perms, parse_perm, parse_pattern_set
 from shapewilf.boards import (
+    Filling,
     OutOfBoardError,
     admits_filling,
     board_from_row_lengths,
     cell_in_board,
+    corner_profile,
     count_fillings,
     enumerate_boards,
     filling_avoids_all,
@@ -168,6 +170,42 @@ def test_corner_test_equals_complete_submatrix_check():
                     assert filling_contains(f, p) == brute_force_contains(f, p), (f, p)
 
 
+# every filling of every board with at most five columns, the empty one too
+SMALL_FILLINGS = [
+    Filling(board, w)
+    for n in range(0, 6)
+    for board in enumerate_boards(n)
+    for w in brute_force_fillings(board)
+]
+
+
+@given(st.frozensets(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    max_size=3,
+))
+@example(frozenset({()}))
+@example(frozenset({(1,)}))
+@example(frozenset({(1, 2, 3, 4, 5, 6)}))
+@example(frozenset({(), (2, 1)}))
+@example(frozenset({(1,), (3, 1, 2), (2, 1, 4, 3, 6, 5)}))
+@settings(max_examples=40, deadline=None)
+def test_corner_profile_decides_in_board_avoidance(patterns):
+    # one profile per row tuple decides every board it fits, exactly as
+    # the reference walker and the complete submatrix check do; the empty
+    # pattern occurs in every filling, the empty one included
+    profiles = {}
+    for f in SMALL_FILLINGS:
+        if f.rows not in profiles:
+            profiles[f.rows] = corner_profile(f.rows, patterns)
+        need = profiles[f.rows]
+        assert len(need) == len(f.rows) + 1
+        contained = any(r <= h for r, h in zip(need, (0,) + f.board))
+        assert contained == (not filling_avoids_all(f, patterns)), (f, patterns)
+        assert contained == any(brute_force_contains(f, p) for p in patterns), (f, patterns)
+
+
 def test_staircase_has_unique_filling():
     assert [f.rows for f in fillings(staircase_board(3))] == [(3, 2, 1)]
     assert count_fillings(staircase_board(5)) == 1
@@ -185,8 +223,6 @@ def test_count_fillings_examples():
 
 
 def test_enumeration_matches_brute_force_with_avoidance():
-    from shapewilf.boards import Filling
-
     for n in range(1, 6):
         for board in enumerate_boards(n):
             all_transversals = brute_force_fillings(board)
@@ -221,8 +257,6 @@ def test_empty_board():
 
 
 def test_filling_counts_match_brute_force():
-    from shapewilf.boards import Filling
-
     for n in range(1, 6):
         for patterns in TARGETS:
             counts = filling_counts(n, patterns)
@@ -249,8 +283,6 @@ pattern_sets = st.lists(
 def test_filling_counts_match_per_board_enumeration(patterns, n):
     # listing and counts against all transversals filtered by the
     # reference walker, every board kept, rows ascending
-    from shapewilf.boards import Filling
-
     expected = [
         (board, [w for w in brute_force_fillings(board)
                  if filling_avoids_all(Filling(board, w), patterns)])

@@ -243,6 +243,13 @@ def test_bijection_trace_of_every_bijection_is_pinned(capsys):
             "# transfer: 3 red columns -> inner board [3,3,3]/132; blue rows [4, 5]",
             "[5,5,5,5,5]/12345",
         ]),
+        # the red region (column 1, row 1) holds no 1: the filling is its
+        # own image, and the trace line is still written
+        (("transfer", "--source", "{123,213}", "--target", "{312,321}",
+          "--tail", "{12}", "--filling", "[4,4,4,4]/4231"), [
+            "# transfer: 0 red columns -> inner board []/; blue rows [1, 2, 3, 4]",
+            "[4,4,4,4]/4231",
+        ]),
     ]
     for argv, lines in cases:
         code, out, _ = run(capsys, "bijection", *argv, "--trace")
