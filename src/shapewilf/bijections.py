@@ -40,7 +40,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le
 from typing import Callable, NamedTuple, Optional
 
 from .perms import Perm, PatternSet, format_pattern_set, occurs, set_direct_sum
@@ -53,6 +52,7 @@ from .boards import (
     fillings_by_board,
     format_filling,
     make_filling,
+    profile_contains,
     transpose_filling,
 )
 from .pops import fan_pop, below_all_pop, pop_to_pattern_set
@@ -236,6 +236,17 @@ def _fan_set(k: int, apex: int) -> PatternSet:
     return pop_to_pattern_set(fan_pop(k, apex))
 
 
+def fan_params(patterns: PatternSet) -> tuple[int, int]:
+    """Recognize a fan set as (k, apex); any member's maximum sits at the
+    only apex the set can have, so one fan set is built and compared."""
+    some = next(iter(patterns))
+    k = len(some)
+    apex = some.index(k) + 1 if some else 0
+    if apex and _fan_set(k, apex) == patterns:
+        return k, apex
+    raise ValueError(f"{format_pattern_set(patterns)} is not a fan pattern set")
+
+
 def _pset(*words: str) -> PatternSet:
     return frozenset(tuple(int(ch) for ch in word) for word in words)
 
@@ -318,13 +329,14 @@ def direct_sum_transfer(
     ``inner.target (+) tail`` on the same board.
 
     Every board cell with an in-board occurrence of some tail pattern
-    strictly above and to its right is red, the rest blue.  The reference
-    walker lists the in-board tail occurrences once; a column's red cells
-    are the rows below the highest lowest row of an occurrence starting to
-    its right, up to the column's height.  Rows and columns of blue 1s are
-    deleted, the red remainder is squashed bottom-left into a smaller
-    Ferrers board (verified, not assumed), mapped with the inner bijection,
-    and the blue rows and columns are reinserted unchanged.  A filling
+    strictly above and to its right is red, the rest blue.  The corner test
+    keeps the in-board ones of the tail occurrences the reference walker
+    lists; a column's red cells are the rows below the highest lowest row
+    of one starting to its right, up to the column's height.  Rows and
+    columns of blue 1s are deleted, the red remainder is squashed
+    bottom-left into a smaller Ferrers board (verified, not assumed),
+    mapped with the inner bijection, and the blue rows and columns are
+    reinserted unchanged.  A filling
     whose red region holds no 1 (one avoiding the tail everywhere is all
     blue) maps to itself at once: the squashed red subfilling is the empty
     filling, the image of itself under any shape-preserving inner map, so
@@ -336,23 +348,26 @@ def direct_sum_transfer(
     m = len(board)
     if m == 0:
         return f
-    found: list[tuple[int, ...]] = []
-    for p in tail:
-        occurs(p, rows, board, found=found)
     # cell (c, r) is red iff some occurrence starts right of column c with
     # every row above r, so a column's red cells are the bottom run of rows
     # below the highest lowest row among those occurrences: the highest
     # lowest row per start column, then a suffix maximum from the right;
     # index m holds the empty occurrence, above and right of every cell
-    reach = [0] * (m + 1)
-    for occ in found:
-        start = occ[0] - 1 if occ else m
-        low = min(rows[i - 1] for i in occ) if occ else m + 1
-        reach[start] = max(reach[start], low - 1)
+    reach = [0] * m + [m + 1 if () in tail else 0]
+    for p in filter(None, tail):
+        found: list[tuple[int, ...]] = []
+        occurs(p, rows, found=found)
+        # an occurrence's highest and lowest rows are at p's k and 1; it is
+        # in-board iff its highest row is at most its last column's height
+        top, bottom = p.index(len(p)), p.index(1)
+        for occ in found:
+            low = rows[occ[bottom] - 1]
+            if rows[occ[top] - 1] <= board[occ[-1] - 1] and low > reach[occ[0] - 1]:
+                reach[occ[0] - 1] = low
     red_top = [0] * m
     best = reach[m]
     for c in range(m - 1, -1, -1):
-        red_top[c] = min(board[c], best)
+        red_top[c] = min(board[c], best - 1)
         best = max(best, reach[c])
 
     surv_cols = [c for c in range(1, m + 1) if rows[c - 1] <= red_top[c - 1]]
@@ -480,16 +495,13 @@ class VerificationReport:
 
 
 def _contains(
-    profiles: dict[Perm, list[int]], patterns: PatternSet, rows: Perm,
-    heights: tuple[int, ...],
+    profiles: dict[Perm, list[int]], patterns: PatternSet, rows: Perm, board: Board
 ) -> bool:
-    """In-board containment of the set in (board, rows), where ``heights``
-    is ``(0,) + board``; the rows' corner profile is built once and kept
-    in ``profiles``."""
+    """In-board containment of the set in (board, rows), profiled once per rows."""
     need = profiles.get(rows)
     if need is None:
         need = profiles[rows] = corner_profile(rows, patterns)
-    return any(map(le, need, heights))
+    return profile_contains(need, board)
 
 
 def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
@@ -520,12 +532,11 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
         image_profiles: dict[Perm, list[int]] = {}
         for board, listed in fillings_by_board(n, source):
             report.boards_checked += 1
-            heights = (0,) + board
             seen: dict[Filling, Filling] = {}
             for rows in listed:
                 f = Filling(board, rows)
                 report.fillings_checked += 1
-                if _contains(source_profiles, source, rows, heights):
+                if _contains(source_profiles, source, rows, board):
                     report.violation = Violation(
                         "domain", board, f, f"{format_filling(f)} contains the source set"
                     )
@@ -547,7 +558,7 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
                         f"{format_filling(f)} mapped off-board to {format_filling(g)}",
                     )
                     return report
-                if _contains(image_profiles, target, g.rows, heights):
+                if _contains(image_profiles, target, g.rows, board):
                     report.violation = Violation(
                         "codomain", board, (f, g),
                         f"{format_filling(f)} -> {format_filling(g)} contains the target set",

@@ -12,11 +12,11 @@ carry 1's order-isomorphic to p and the top-right corner cell
 single corner test is equivalent to requiring the whole k x k submatrix
 grid to sit inside the board.
 
-In-board avoidance has two views.  ``filling_contains`` runs the
-reference walker on one filling.  ``corner_profile`` lists a row
-sequence's occurrences once and gives, per column, the least height at
-which that column closes one; every board the rows fit is then decided
-by one comparison per column.
+In-board containment has one test.  ``corner_profile`` lists a row
+sequence's occurrences once with the reference walker and gives, per
+column, the least height at which that column closes one;
+``profile_contains`` decides every board the rows fill by one comparison
+per column, and ``filling_contains`` is that test on one filling.
 
 One walk over the trie of column heights generates every filling, so
 boards that share a prefix of heights share each partial filling over
@@ -26,6 +26,7 @@ Text notation: board "[6,6,5,4,3,3]", filling "[6,6,5,4,3,3]/561423".
 """
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
@@ -227,6 +228,48 @@ def transpose_filling(f: Filling) -> Filling:
     return Filling(board_from_row_lengths(f.board), inverse(f.rows))
 
 
+def corner_profile(rows: Sequence[int], patterns: Iterable[Perm]) -> list[int]:
+    """
+    In-board containment of a pattern set on every board a row sequence
+    fills, from one listing of its occurrences by the reference walker.
+    Entry c, for a 1-based column c, is the least highest row among the
+    occurrences whose last entry is in column c, and len(rows) + 1 if
+    there is none.  Entry 0 is the column of the empty pattern's one
+    occurrence, with highest row 0.
+
+    >>> corner_profile((2, 1, 3), {(1, 2)})
+    [4, 4, 4, 3]
+    """
+    m = len(rows)
+    need = [m + 1] * (m + 1)
+    for p in patterns:
+        if not p:
+            need[0] = 0
+            continue
+        found: list[tuple[int, ...]] = []
+        occurs(p, rows, found=found)
+        top = p.index(len(p))  # an occurrence's highest row is at p's k
+        for occ in found:
+            high = rows[occ[top] - 1]
+            if high < need[occ[-1]]:
+                need[occ[-1]] = high
+    return need
+
+
+def profile_contains(need: Sequence[int], board: Board) -> bool:
+    """
+    The corner test: an occurrence is in-board iff its highest row is at
+    most its last column's height.  So the filling of ``board`` by rows
+    with the corner profile ``need`` contains the profile's set in-board
+    iff some entry is at most its column's height in ``(0,) + board``.
+    The rows must fill the board, so no height reaches len(rows) + 1.
+
+    >>> profile_contains(corner_profile((2, 1, 3), {(1, 2)}), (3, 3, 2))
+    False
+    """
+    return any(map(le, need, (0,) + board))
+
+
 def filling_contains(f: Filling, p: Perm) -> bool:
     """
     In-board containment of the classical pattern p.
@@ -237,43 +280,11 @@ def filling_contains(f: Filling, p: Perm) -> bool:
     >>> filling_contains(fig, (1, 2, 3))
     True
     """
-    return occurs(p, f.rows, f.board)
+    return profile_contains(corner_profile(f.rows, (p,)), f.board)
 
 
 def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
-    return not any(filling_contains(f, p) for p in patterns)
-
-
-def corner_profile(rows: Sequence[int], patterns: Iterable[Perm]) -> list[int]:
-    """
-    In-board containment of a pattern set on every board a row sequence
-    fits, from one listing of its occurrences by the reference walker.
-    Entry c, for a 1-based column c, is the least highest row among the
-    occurrences whose last entry is in column c, and len(rows) + 1 if
-    there is none.  Entry 0 is the column of the empty pattern's one
-    occurrence, with highest row 0.  So a filling (board, rows) contains a
-    pattern of the set in-board exactly when some entry is at most the
-    height of its column in ``(0,) + board``: the corner test of ``occurs``.
-
-    >>> need = corner_profile((2, 1, 3), {(1, 2)})
-    >>> need
-    [4, 4, 4, 3]
-    >>> any(r <= h for r, h in zip(need, (0, 3, 3, 2)))  # board (3, 3, 2)
-    False
-    >>> any(r <= h for r, h in zip(need, (0, 3, 3, 3)))  # board (3, 3, 3)
-    True
-    """
-    m = len(rows)
-    found: list[tuple[int, ...]] = []
-    for p in patterns:
-        occurs(p, rows, found=found)
-    need = [m + 1] * (m + 1)
-    for occ in found:
-        c = occ[-1] if occ else 0
-        high = max([rows[i - 1] for i in occ], default=0)
-        if high < need[c]:
-            need[c] = high
-    return need
+    return not profile_contains(corner_profile(f.rows, patterns), f.board)
 
 
 def child_blocks(table: PrefixTable, blocks: list[int], rows: Sequence[int]) -> list[int]:
@@ -310,7 +321,7 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        yield (), [()]  # the empty board's one filling
+        yield (), [] if () in avoid else [()]  # the empty board's one filling
         return
     table = prefix_table(avoid)
 

@@ -21,7 +21,6 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .perms import format_pattern_set, parse_pattern_set
-from .pops import fan_pop, pop_to_pattern_set
 from .boards import (
     count_fillings,
     enumerate_boards,
@@ -36,6 +35,7 @@ from .bijections import (
     BijectionOracle,
     fan_bottom_last_oracle,
     fan_oracle,
+    fan_params,
     transfer_oracle,
     verify_bijection,
     wedge_valley_oracle,
@@ -72,17 +72,6 @@ def _emit_records(records: list[dict], fmt: str, columns: list[str]) -> None:
         print("  ".join(col.ljust(widths[col]) for col in columns))
         for rec in records:
             print("  ".join(_cell(rec.get(col, "")).ljust(widths[col]) for col in columns))
-
-
-def _fan_params_for(patterns) -> tuple[int, int]:
-    """Recognize a pattern set as a fan set, returning (k, apex)."""
-    k = len(next(iter(patterns)))
-    for apex in range(1, k + 1):
-        if pop_to_pattern_set(fan_pop(k, apex)) == frozenset(patterns):
-            return k, apex
-    raise ValueError(
-        f"{format_pattern_set(frozenset(patterns))} is not a fan pattern set"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +164,8 @@ def _build_oracle(args) -> BijectionOracle:
     if args.name == "transfer":
         if not args.source or not args.target or not args.tail:
             raise ValueError("transfer needs --source, --target and --tail")
-        k1, a1 = _fan_params_for(parse_pattern_set(args.source))
-        k2, a2 = _fan_params_for(parse_pattern_set(args.target))
+        k1, a1 = fan_params(parse_pattern_set(args.source))
+        k2, a2 = fan_params(parse_pattern_set(args.target))
         if k1 != k2:
             raise ValueError("transfer source and target fan sets differ in size")
         return transfer_oracle(fan_oracle(k1, a1, a2), parse_pattern_set(args.tail))

@@ -137,6 +137,7 @@ def _extension_walk(
     is counted from its parents' frontiers, and listed only for leaves."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
+    patterns = frozenset(patterns)
     table = prefix_table(patterns)
     counts = [0] * n_max
 
@@ -155,8 +156,8 @@ def _extension_walk(
 
     if n_max:
         grow((), child_forbidden(table, 0, ()))
-    elif leaves is not None:
-        leaves.append(())
+    elif leaves is not None and () not in patterns:
+        leaves.append(())  # the empty permutation avoids every nonempty pattern
     return counts
 
 
@@ -200,14 +201,14 @@ def avoider_counts(patterns: Iterable[Perm], n_max: int) -> list[int]:
 def count_avoiders(patterns: Iterable[Perm], n: int) -> int:
     """
     Number of permutations of length n avoiding every given pattern; the
-    empty permutation is the one of length 0.
+    empty permutation, of length 0, avoids all but the empty pattern.
 
     >>> count_avoiders({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 4)
     24
     >>> count_avoiders({(1, 2)}, 3)
     1
     """
-    return (avoider_counts(patterns, n) or [1])[-1]
+    return avoider_counts(patterns, n)[-1] if n else len(avoiders(patterns, 0))
 
 
 def check_time_budget(budget: Optional[float]) -> None:

@@ -1,6 +1,6 @@
 """
 Permutations of {1, ..., n} in one-line notation, classical pattern
-containment, and the symmetry operations on patterns and pattern sets.
+containment in a word, and the symmetry operations on patterns and sets.
 
 A permutation is a plain tuple of 1-based values, e.g. ``(4, 5, 2, 1, 3)``
 for the one-line word 45213.  The empty tuple is the empty permutation and
@@ -359,24 +359,15 @@ def _anchored_walk(
                 )
 
 
-def occurs(
-    p: Perm,
-    rows: Sequence[int],
-    heights: Optional[Sequence[int]] = None,
-    found: Optional[list] = None,
-) -> bool:
+def occurs(p: Perm, rows: Sequence[int], *, found: Optional[list] = None) -> bool:
     """
-    Reference walker: does p occur in the row sequence?  With per-column
-    ``heights`` the occurrence must also be in-board: the top-right corner
-    (last chosen column, highest chosen row) lies under that column's
-    height.  With a ``found`` list, the walk does not stop at the first
-    occurrence: it appends every one to ``found`` as a 1-based index
-    tuple, in lexicographic order, and reports whether it appended any.
+    Reference walker: does p occur in the row sequence?  With a ``found``
+    list, the walk does not stop at the first occurrence: it appends every
+    one to ``found`` as a 1-based index tuple, in lexicographic order, and
+    reports whether it appended any.
 
     >>> occurs((1, 2), (2, 1, 3))
     True
-    >>> occurs((1, 2), (2, 1, 3), heights=(3, 3, 2))
-    False
     >>> hits = []
     >>> occurs((1, 2), (2, 1, 3), found=hits), hits
     (True, [(1, 3), (2, 3)])
@@ -392,14 +383,13 @@ def occurs(
         return False
     hits = len(found) if found is not None else 0
     return _occurs_walk(
-        _tight_refs(p), rows, heights, found, max(rows) + 1, [0] * k, [0] * k, 0, 0, 0
+        _tight_refs(p), rows, found, max(rows) + 1, [0] * k, [0] * k, 0, 0
     ) or (found is not None and len(found) > hits)
 
 
 def _occurs_walk(
-    refs, rows: Sequence[int], heights: Optional[Sequence[int]],
-    found: Optional[list], top: int, idxs: list[int], chosen: list[int],
-    j: int, start: int, cur_max: int,
+    refs, rows: Sequence[int], found: Optional[list], top: int,
+    idxs: list[int], chosen: list[int], j: int, start: int,
 ) -> bool:
     """Choose pattern position j of ``occurs``, then recurse; ``idxs`` and
     ``chosen`` hold the 1-based indices and the values of positions < j."""
@@ -410,17 +400,14 @@ def _occurs_walk(
     for i in range(start, len(rows) - (k - j - 1)):
         v = rows[i]
         if lov < v < hiv:
-            new_max = v if v > cur_max else cur_max
             idxs[j] = i + 1
             if j < k - 1:
                 chosen[j] = v
-                if _occurs_walk(
-                    refs, rows, heights, found, top, idxs, chosen, j + 1, i + 1, new_max
-                ):
+                if _occurs_walk(refs, rows, found, top, idxs, chosen, j + 1, i + 1):
                     return True
-            elif heights is None or new_max <= heights[i]:
-                if found is None:
-                    return True
+            elif found is None:
+                return True
+            else:
                 found.append(tuple(idxs))
     return False
 

@@ -1,5 +1,6 @@
 """The four constructive bijections and the verification harness."""
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -267,6 +268,60 @@ def test_transfer_images_and_traces_are_pinned_up_to_n6():
     assert digest.hexdigest() == (
         "284e7e45500b4d82dbf589bae13c583515162ffa0d1590cb15fb5961b221c798"
     )
+
+
+def red_region_trace(f, tail):
+    """The transfer's trace line from the definition of its red region:
+    cell (c, r) is red iff some tail pattern occurs among the 1s right of
+    column c and above row r with its complete submatrix grid in the
+    board, found by brute force over index subsets."""
+    board, rows = f
+    m = len(rows)
+    # each in-board tail occurrence as (first column, lowest row); the
+    # empty pattern's lies above and right of every cell
+    corners = []
+    for p in tail:
+        k = len(p)
+        for cols in combinations(range(1, m + 1), k):
+            vals = [rows[c - 1] for c in cols]
+            if all(
+                (vals[a] < vals[b]) == (p[a] < p[b])
+                for a in range(k) for b in range(a + 1, k)
+            ) and all(v <= board[c - 1] for v in vals for c in cols):
+                corners.append((min(cols, default=m + 1), min(vals, default=m + 1)))
+
+    def red(c, r):
+        return r <= board[c - 1] and any(c < c0 and r < r0 for c0, r0 in corners)
+
+    red_cols = [c for c in range(1, m + 1) if red(c, rows[c - 1])]
+    blue_rows = sorted(rows[c - 1] for c in range(1, m + 1) if c not in red_cols)
+    kept_rows = [r for r in range(1, m + 1) if r not in blue_rows]
+    sub = Filling(
+        tuple(sum(1 for r in kept_rows if red(c, r)) for c in red_cols),
+        tuple(kept_rows.index(rows[c - 1]) + 1 for c in red_cols),
+    )
+    return (
+        f"transfer: {len(red_cols)} red columns -> inner board "
+        f"{format_filling(sub)}; blue rows {blue_rows}"
+    )
+
+
+def test_transfer_red_region_matches_its_definition():
+    # independent evidence for the map's red region, unlike the pinned
+    # hash above, which the engine itself produced
+    count = 0
+    tails = ({(1, 2)}, {(2, 1)}, {(1, 3, 2)}, {(2, 3, 1)}, {()}, {(1, 2), (2, 1)})
+    for tail in tails:
+        oracle = transfer_oracle(fan_oracle(3, 3, 1), tail)
+        for n in range(1, 6):
+            for board, listed in fillings_by_board(n, oracle.source):
+                for rows in listed:
+                    f = Filling(board, rows)
+                    trace = []
+                    oracle.apply(f, trace)
+                    assert trace == [red_region_trace(f, tail)], (f, tail)
+                    count += 1
+    assert count == 5802
 
 
 def test_transfer_precondition_violation():

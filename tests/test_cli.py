@@ -285,6 +285,20 @@ def test_bijection_transfer_identity(capsys):
     assert out.strip() == "[4,4,4,4]/4321"
 
 
+def test_bijection_transfer_rejects_sets_that_are_not_matching_fans(capsys):
+    cases = [
+        (("--source", "{12,21}", "--target", "{312,321}"),
+         "error: {12,21} is not a fan pattern set\n"),
+        (("--source", "{123,213}", "--target", "{21}"),
+         "error: transfer source and target fan sets differ in size\n"),
+    ]
+    for argv, expected in cases:
+        code, out, err = run(
+            capsys, "bijection", "transfer", *argv, "--tail", "{12}", "--verify", "2"
+        )
+        assert (code, out, err) == (2, "", expected), argv
+
+
 def test_boards_listing(capsys):
     code, out, err = run(capsys, "boards", "--n", "3")
     assert code == 0

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapewilf.perms import format_pattern_set, parse_pattern_set, set_reverse
-from shapewilf.boards import square_board, count_fillings
+from shapewilf.boards import (
+    Filling,
+    count_fillings,
+    filling_avoids_all,
+    filling_counts,
+    fillings,
+    fillings_by_board,
+    square_board,
+)
 from shapewilf import equivalence
 from shapewilf.equivalence import (
     BUDGET_CAP,
@@ -136,6 +144,22 @@ def test_mixed_length_sets():
     patterns = parse_pattern_set("{12,321}")
     for n in range(0, 7):
         assert count_avoiders(patterns, n) == count_avoiders_naive(patterns, n)
+
+
+@pytest.mark.parametrize(
+    "patterns", [frozenset({()}), frozenset({(), (2, 1)}), frozenset({(1,)})]
+)
+def test_every_engine_at_size_0_agrees_with_the_naive_oracle(patterns):
+    # the empty permutation and the empty filling contain the empty
+    # pattern and avoid every other
+    expected = count_avoiders_naive(patterns, 0)
+    assert expected == filling_avoids_all(Filling((), ()), patterns)
+    assert count_avoiders(patterns, 0) == expected
+    assert len(avoiders(patterns, 0)) == expected
+    assert list(fillings_by_board(0, patterns)) == [((), [()] * expected)]
+    assert filling_counts(0, patterns) == {(): expected}
+    assert len(list(fillings((), patterns))) == expected
+    assert count_fillings((), patterns) == expected
 
 
 def test_count_fillings_on_square_equals_avoider_count():

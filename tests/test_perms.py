@@ -30,7 +30,7 @@ from shapewilf.perms import (
     set_reverse,
 )
 from shapewilf.equivalence import child_forbidden
-from shapewilf.boards import child_blocks
+from shapewilf.boards import Filling, child_blocks, corner_profile, filling_avoids_all
 from shapewilf.pops import fan_pop, pop_occurrences
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
@@ -165,10 +165,16 @@ def test_engine_kernel_matches_brute_force_in_board(patterns, filling, column):
                 for occ in brute_occurrences(p, rows)
             )
             assert (max(blocks[r], r) <= cap) == expected
-            # the reference walker's corner test, with no room left of the
-            # last column, sees only occurrences ending there
-            corner = (0,) * (column - 1) + (cap,)
-            assert expected == any(occurs(p, rows, corner) for p in patterns)
+            # the reference walker's listing and the corner test: an
+            # occurrence ending in the last column is in-board iff its
+            # highest row is at most that column's height
+            found = []
+            for p in patterns:
+                occurs(p, rows, found=found)
+            assert expected == any(
+                occ[-1] == column and max(rows[i - 1] for i in occ) <= cap
+                for occ in found
+            )
 
 
 @given(pattern_sets, perms)
@@ -212,15 +218,16 @@ def test_occurrence_searches_leave_no_reference_cycles():
     table = prefix_table(patterns)
     fan = fan_pop(3, 2)
     words = list(all_perms(5))
-    heights = (5, 5, 4, 3, 3)
+    square = (5,) * 5
     gc.collect()
     gc.disable()
     try:
         for w in words:
             for p in patterns:
                 occurs(p, w)
-                occurs(p, w, heights)
-                occurs(p, w, heights, found=[])
+                occurs(p, w, found=[])
+            corner_profile(w, patterns)
+            filling_avoids_all(Filling(square, w), patterns)
             anchored_intervals(table, w, 6)
             child_blocks(table, [6] * 7, w)
             child_forbidden(table, 0, w)
