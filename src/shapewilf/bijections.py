@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .perms import Perm, PatternSet, format_pattern_set, occurs, set_direct_sum
+from .perms import Perm, PatternSet, format_pattern_set, occurrences, set_direct_sum
 from .boards import (
     Board,
     Filling,
@@ -334,13 +334,16 @@ def direct_sum_transfer(
     lists; a column's red cells are the rows below the highest lowest row
     of one starting to its right, up to the column's height.  Rows and
     columns of blue 1s are deleted, the red remainder is squashed
-    bottom-left into a smaller Ferrers board (verified, not assumed),
-    mapped with the inner bijection, and the blue rows and columns are
-    reinserted unchanged.  A filling
-    whose red region holds no 1 (one avoiding the tail everywhere is all
-    blue) maps to itself at once: the squashed red subfilling is the empty
-    filling, the image of itself under any shape-preserving inner map, so
-    the inner map is not run; the trace still gets its transfer line.  A
+    bottom-left into a smaller board, mapped with the inner bijection, and
+    the blue rows and columns are reinserted unchanged.  The squashed board
+    is Ferrers by construction: a column's red top is the minimum of its
+    height and a suffix maximum, two sequences that never increase to the
+    right.  ``make_filling`` checks only that the red 1s are a transversal
+    of it.  A filling whose red region holds no 1 (one avoiding the tail
+    everywhere is all blue) maps to itself at once: the squashed red
+    subfilling is the empty filling, the image of itself under any
+    shape-preserving inner map, so the inner map is not run; the trace
+    still gets its transfer line.  A
     non-avoider has a red subfilling that contains ``inner.source``, so the
     inner map raises at its first invalid peel level.
     """
@@ -355,12 +358,10 @@ def direct_sum_transfer(
     # index m holds the empty occurrence, above and right of every cell
     reach = [0] * m + [m + 1 if () in tail else 0]
     for p in filter(None, tail):
-        found: list[tuple[int, ...]] = []
-        occurs(p, rows, found=found)
         # an occurrence's highest and lowest rows are at p's k and 1; it is
         # in-board iff its highest row is at most its last column's height
         top, bottom = p.index(len(p)), p.index(1)
-        for occ in found:
+        for occ in occurrences(p, rows):
             low = rows[occ[bottom] - 1]
             if rows[occ[top] - 1] <= board[occ[-1] - 1] and low > reach[occ[0] - 1]:
                 reach[occ[0] - 1] = low

@@ -13,10 +13,11 @@ single corner test is equivalent to requiring the whole k x k submatrix
 grid to sit inside the board.
 
 In-board containment has one test.  ``corner_profile`` lists a row
-sequence's occurrences once with the reference walker and gives, per
-column, the least height at which that column closes one;
-``profile_contains`` decides every board the rows fill by one comparison
-per column, and ``filling_contains`` is that test on one filling.
+sequence's occurrences once with the reference walker
+``perms.occurrences`` and gives, per column, the least height at which
+that column closes one; ``profile_contains`` decides every board the
+rows fill by one comparison per column, and ``filling_avoids_all`` and
+``filling_contains`` are that test on one filling, validated first.
 
 One walk over the trie of column heights generates every filling, so
 boards that share a prefix of heights share each partial filling over
@@ -30,8 +31,8 @@ from operator import le
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
-    Perm, PrefixTable, anchored_intervals, format_perm, inverse, make_perm, occurs,
-    parse_perm, prefix_table,
+    Perm, PrefixTable, anchored_intervals, format_perm, inverse, make_perm,
+    occurrences, parse_perm, prefix_table,
 )
 
 Board = tuple[int, ...]
@@ -231,7 +232,8 @@ def transpose_filling(f: Filling) -> Filling:
 def corner_profile(rows: Sequence[int], patterns: Iterable[Perm]) -> list[int]:
     """
     In-board containment of a pattern set on every board a row sequence
-    fills, from one listing of its occurrences by the reference walker.
+    fills, from one listing of its occurrences by the reference walker
+    ``perms.occurrences``.
     Entry c, for a 1-based column c, is the least highest row among the
     occurrences whose last entry is in column c, and len(rows) + 1 if
     there is none.  Entry 0 is the column of the empty pattern's one
@@ -246,10 +248,8 @@ def corner_profile(rows: Sequence[int], patterns: Iterable[Perm]) -> list[int]:
         if not p:
             need[0] = 0
             continue
-        found: list[tuple[int, ...]] = []
-        occurs(p, rows, found=found)
         top = p.index(len(p))  # an occurrence's highest row is at p's k
-        for occ in found:
+        for occ in occurrences(p, rows):
             high = rows[occ[top] - 1]
             if high < need[occ[-1]]:
                 need[occ[-1]] = high
@@ -280,10 +280,13 @@ def filling_contains(f: Filling, p: Perm) -> bool:
     >>> filling_contains(fig, (1, 2, 3))
     True
     """
-    return profile_contains(corner_profile(f.rows, (p,)), f.board)
+    return not filling_avoids_all(f, (p,))
 
 
 def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
+    """No pattern occurs in-board.  ``Filling`` is a plain tuple, so a
+    malformed one raises ``ValueError`` here, before the corner test."""
+    make_filling(make_board(f.board), f.rows)
     return not profile_contains(corner_profile(f.rows, patterns), f.board)
 
 

@@ -223,32 +223,28 @@ def counts_within_budget(
     """
     Avoider counts for 1..n; with a time budget in seconds, keep adding
     one more n up to n = BUDGET_CAP, but start a level only if its
-    projected time fits in the budget still left.  The projection is the
-    last level's time times the growth of the last two counts.  The last
-    level of the class's cached list is timed by the walk that stored it,
-    not by its lookup.  A budget of 0 returns exactly n counts; a negative
-    or NaN budget raises ``ValueError`` before any counting.
+    projected time fits in the budget still left.  Once n counts are in,
+    the class's cached list holds at least n, so the next level is a
+    lookup unless the list ends at n; then it is a walk, projected as the
+    walk that stored the list times the growth of the last two counts.
+    A budget of 0 returns exactly n counts; a negative or NaN budget
+    raises ``ValueError`` before any counting.
     """
     check_time_budget(budget)
     patterns = frozenset(patterns)
-    start = time.perf_counter()
     counts = avoider_counts(patterns, n)
     if budget is None:
         return counts
     key = trivial_symmetry_class(patterns)
-    now = time.perf_counter()
-    deadline = now + budget
+    deadline = time.perf_counter() + budget
     while n < BUDGET_CAP:
-        # below the end of the cached list the call was a lookup, and so
-        # is the next level; at its end, the walk that stored it counts
         stored, walk_s = _class_counts.get(key, ([], 0.0))
-        last, start = walk_s if len(stored) == n else now - start, now
         growth = counts[-1] / counts[-2] if n > 1 and counts[-2] else 1.0
-        if now + last * growth >= deadline:
+        cost = walk_s * growth if len(stored) == n else 0.0
+        if time.perf_counter() + cost >= deadline:
             break
         n += 1
         counts = avoider_counts(patterns, n)
-        now = time.perf_counter()
     return counts
 
 

@@ -211,7 +211,8 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # values chosen for its nearest smaller and nearest larger entries among
 # positions < j.  The anchored prefix search drives the generators; the
 # reference walker is what they are checked against, so the two share
-# nothing else.
+# nothing else.  The walker answers two questions, ``contains`` (it stops
+# at the first occurrence) and ``occurrences`` (it lists every one).
 #
 # Both generators grow a word one last entry at a time, and a pattern p
 # occurs ending at a new last entry r exactly when some occurrence of its
@@ -359,40 +360,51 @@ def _anchored_walk(
                 )
 
 
-def occurs(p: Perm, rows: Sequence[int], *, found: Optional[list] = None) -> bool:
+def contains(p: Perm, w: Sequence[int]) -> bool:
     """
-    Reference walker: does p occur in the row sequence?  With a ``found``
-    list, the walk does not stop at the first occurrence: it appends every
-    one to ``found`` as a 1-based index tuple, in lexicographic order, and
-    reports whether it appended any.
+    Reference walker: does the pattern p occur in w?  The walk stops at
+    the first occurrence.
 
-    >>> occurs((1, 2), (2, 1, 3))
+    >>> contains((1, 2), (2, 1, 3))
     True
-    >>> hits = []
-    >>> occurs((1, 2), (2, 1, 3), found=hits), hits
-    (True, [(1, 3), (2, 3)])
-    >>> occurs((2, 1), (1, 2), found=hits)
-    False
+    >>> contains((2, 1), (1, 2)), contains((1, 2), (1,))
+    (False, False)
     """
-    k, n = len(p), len(rows)
+    k = len(p)
     if k == 0:
-        if found is not None:
-            found.append(())
         return True
-    if k > n:
+    if k > len(w):
         return False
-    hits = len(found) if found is not None else 0
-    return _occurs_walk(
-        _tight_refs(p), rows, found, max(rows) + 1, [0] * k, [0] * k, 0, 0
-    ) or (found is not None and len(found) > hits)
+    return _occurs_walk(_tight_refs(p), w, None, max(w) + 1, [0] * k, [0] * k, 0, 0)
+
+
+def occurrences(p: Perm, w: Sequence[int]) -> list[tuple[int, ...]]:
+    """
+    Reference walker: a fresh list of every occurrence of p in w as a
+    1-based index tuple, in lexicographic order; the empty pattern has
+    one, the empty tuple.
+
+    >>> occurrences((1, 2, 3), (3, 1, 4, 2, 5))
+    [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
+    >>> occurrences((1, 2), (2, 1, 3)), occurrences((), (2, 1))
+    ([(1, 3), (2, 3)], [()])
+    """
+    k = len(p)
+    if k == 0:
+        return [()]
+    found: list[tuple[int, ...]] = []
+    if k <= len(w):
+        _occurs_walk(_tight_refs(p), w, found, max(w) + 1, [0] * k, [0] * k, 0, 0)
+    return found
 
 
 def _occurs_walk(
     refs, rows: Sequence[int], found: Optional[list], top: int,
     idxs: list[int], chosen: list[int], j: int, start: int,
 ) -> bool:
-    """Choose pattern position j of ``occurs``, then recurse; ``idxs`` and
-    ``chosen`` hold the 1-based indices and the values of positions < j."""
+    """Choose pattern position j of the reference walker, then recurse;
+    ``idxs`` and ``chosen`` hold the 1-based indices and the values of
+    positions < j.  With ``found`` None it stops at the first occurrence."""
     lo, hi = refs[j]
     lov = chosen[lo] if lo >= 0 else 0
     hiv = chosen[hi] if hi >= 0 else top
@@ -412,31 +424,6 @@ def _occurs_walk(
     return False
 
 
-def contains(p: Perm, w: Perm) -> bool:
-    """
-    Does the pattern p occur in w?
-
-    >>> contains((1, 2, 3), (3, 1, 4, 2, 5))
-    True
-    >>> contains((1, 2), (1,))
-    False
-    """
-    return occurs(p, w)
-
-
-def occurrences(p: Perm, w: Perm) -> Iterator[tuple[int, ...]]:
-    """
-    Yield 1-based index tuples of all occurrences of p in w, in
-    lexicographic order.
-
-    >>> list(occurrences((1, 2, 3), (3, 1, 4, 2, 5)))
-    [(1, 3, 5), (2, 3, 5), (2, 4, 5)]
-    """
-    found: list[tuple[int, ...]] = []
-    occurs(p, w, found=found)
-    return iter(found)
-
-
 def pattern_occurrences(p: Perm, w: Perm) -> int:
     """
     Number of occurrences of the classical pattern p in w.
@@ -446,7 +433,7 @@ def pattern_occurrences(p: Perm, w: Perm) -> int:
     >>> pattern_occurrences((1, 2), (1,))
     0
     """
-    return sum(1 for _ in occurrences(p, w))
+    return len(occurrences(p, w))
 
 
 def avoids_all(patterns: Iterable[Perm], w: Perm) -> bool:

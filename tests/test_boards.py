@@ -152,6 +152,24 @@ def test_fig_filling_containment():
     assert filling_contains(f, parse_perm("123"))
 
 
+def test_in_board_entry_points_reject_malformed_fillings():
+    from shapewilf.bijections import fan_oracle
+
+    oracle = fan_oracle(3, 1, 3)
+    for f, message in [
+        # one column cannot hold 12, but its height reaches the profile's sentinel
+        (Filling((2,), (1,)), r"board \(2,\) has 2 rows but 1 columns"),
+        (Filling((2, 3), (1, 2)), r"column heights must be weakly decreasing: \(2, 3\)"),
+        (Filling((3, 3, 3), (1, 1, 2)), r"not a permutation of 1\.\.3: \(1, 1, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            filling_contains(f, (1, 2))
+        with pytest.raises(ValueError, match=message):
+            filling_avoids_all(f, {(1, 2)})
+        with pytest.raises(ValueError, match=message):
+            oracle(f)
+
+
 def test_containment_on_full_square_is_plain_containment():
     from shapewilf.perms import contains
 

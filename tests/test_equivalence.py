@@ -268,21 +268,22 @@ def test_shape_wilf_full_table_no_fail_fast():
 
 
 def test_budget_starts_a_level_only_if_its_projection_fits(monkeypatch):
-    # a stub clock and a stub count whose level n costs 2^n ms, so the
+    # a stub clock and a stub walk whose level n costs 2^n ms, so the
     # growth of the counts (2^(n-1)) projects the next level exactly
     clock = [0.0]
     calls = []
 
-    def counts(patterns, n):
+    def walk(patterns, n):
         calls.append(n)
         clock[0] += 2 ** n / 1000
         return [2 ** i for i in range(n)]
 
     monkeypatch.setattr(equivalence, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(equivalence, "avoider_counts", counts)
+    monkeypatch.setattr(equivalence, "_extension_walk", walk)
 
     def run(n, budget):
         calls.clear()
+        equivalence._class_counts.clear()
         clock[0] = 0.0
         return counts_within_budget(HUB, n, budget)
 

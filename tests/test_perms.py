@@ -19,7 +19,6 @@ from shapewilf.perms import (
     inverse,
     make_perm,
     occurrences,
-    occurs,
     parse_pattern_set,
     parse_perm,
     pattern_occurrences,
@@ -118,10 +117,20 @@ def test_pattern_longer_than_word():
     assert not contains(parse_perm("12"), parse_perm("1"))
 
 
-@given(patterns, perms)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    perms,
+)
 @settings(max_examples=200)
 def test_occurrence_count_matches_brute_force(p, w):
-    assert pattern_occurrences(p, w) == len(brute_occurrences(p, w))
+    # both entry points of the reference walker, the empty pattern and
+    # patterns longer than the word included
+    expected = brute_occurrences(p, w)
+    assert occurrences(p, w) == expected
+    assert contains(p, w) == bool(expected)
+    assert pattern_occurrences(p, w) == len(expected)
 
 
 @given(patterns, perms)
@@ -170,7 +179,7 @@ def test_engine_kernel_matches_brute_force_in_board(patterns, filling, column):
             # highest row is at most that column's height
             found = []
             for p in patterns:
-                occurs(p, rows, found=found)
+                found.extend(occurrences(p, rows))
             assert expected == any(
                 occ[-1] == column and max(rows[i - 1] for i in occ) <= cap
                 for occ in found
@@ -188,7 +197,7 @@ def test_engine_kernel_on_an_appended_last_entry(patterns, w):
         forbidden = child_forbidden(table, forbidden, standardize(w[:i]))
     n = len(w) + 1
     assert forbidden >> n + 1 == 0
-    w_avoids = not any(occurs(p, w) for p in patterns)
+    w_avoids = not any(contains(p, w) for p in patterns)
     for r in range(1, n + 1):
         child = tuple(v + 1 if v >= r else v for v in w) + (r,)
         expected = any(
@@ -196,16 +205,7 @@ def test_engine_kernel_on_an_appended_last_entry(patterns, w):
         )
         assert bool(forbidden >> r & 1) == expected
         if w_avoids:
-            assert expected == any(occurs(p, child) for p in patterns)
-
-
-def test_occurs_reports_only_the_hits_of_its_own_call():
-    hits = [(1, 2)]
-    assert not occurs((2, 1), (1, 2), found=hits)
-    assert hits == [(1, 2)]
-    assert occurs((1, 2), (1, 2), found=hits)
-    assert hits == [(1, 2), (1, 2)]
-    assert not occurs((1, 2, 3), (1, 2), found=hits)
+            assert expected == any(contains(p, child) for p in patterns)
 
 
 def test_occurrence_searches_leave_no_reference_cycles():
@@ -224,8 +224,8 @@ def test_occurrence_searches_leave_no_reference_cycles():
     try:
         for w in words:
             for p in patterns:
-                occurs(p, w)
-                occurs(p, w, found=[])
+                contains(p, w)
+                occurrences(p, w)
             corner_profile(w, patterns)
             filling_avoids_all(Filling(square, w), patterns)
             anchored_intervals(table, w, 6)
