@@ -13,10 +13,10 @@ from shapewilf import (
     count_fillings,
     enumerate_boards,
     filling_contains,
-    filling_from_permutation,
     fillings,
     format_board,
     format_filling,
+    make_filling,
     parse_perm,
     parse_pattern_set,
     transversal_count_formula,
@@ -37,7 +37,7 @@ def draw(f):
 
 # the running example: rows of lengths 2,3,4,6,6,6 from the top
 board = board_from_row_lengths((6, 6, 6, 4, 3, 2))
-f = filling_from_permutation(board, parse_perm("561423"))
+f = make_filling(board, parse_perm("561423"))
 print(f"filling {format_filling(f)}:")
 print(draw(f))
 print(f"in-board occurrence of 312? {filling_contains(f, parse_perm('312'))}")

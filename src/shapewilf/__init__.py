@@ -15,7 +15,6 @@ from .perms import (
     format_pattern_set,
     format_perm,
     inverse,
-    make_pattern_set,
     make_perm,
     occurrences,
     parse_pattern_set,
@@ -23,24 +22,17 @@ from .perms import (
     pattern_occurrences,
     reverse,
     set_apply_ops,
-    set_complement,
     set_direct_sum,
-    set_inverse,
-    set_reverse,
 )
 from .pops import (
     Pop,
-    antichain_pop,
     below_all_pop,
-    chain_pop,
     fan_pop,
     format_pop,
     parse_pop,
     pop,
-    pop_avoids,
     pop_occurrences,
     pop_to_pattern_set,
-    valley_pop,
 )
 from .boards import (
     Board,
@@ -52,7 +44,6 @@ from .boards import (
     enumerate_boards,
     filling_avoids_all,
     filling_contains,
-    filling_from_permutation,
     fillings,
     format_board,
     format_filling,
@@ -61,7 +52,6 @@ from .boards import (
     parse_board,
     parse_filling,
     square_board,
-    staircase_board,
     transpose_filling,
     transversal_count_formula,
 )

@@ -239,7 +239,7 @@ def _fan_set(k: int, apex: int) -> PatternSet:
 def fan_params(patterns: PatternSet) -> tuple[int, int]:
     """Recognize a fan set as (k, apex); any member's maximum sits at the
     only apex the set can have, so one fan set is built and compared."""
-    some = next(iter(patterns))
+    some = next(iter(patterns), ())
     k = len(some)
     apex = some.index(k) + 1 if some else 0
     if apex and _fan_set(k, apex) == patterns:

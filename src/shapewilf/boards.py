@@ -105,11 +105,6 @@ def cell_in_board(board: Board, column: int, row: int) -> bool:
     return 1 <= column <= len(board) and 1 <= row <= board[column - 1]
 
 
-def staircase_board(n: int) -> Board:
-    """(n, n-1, ..., 1), the minimal board admitting a (unique) filling."""
-    return tuple(range(n, 0, -1))
-
-
 def square_board(n: int) -> Board:
     return (n,) * n
 
@@ -174,7 +169,15 @@ class Filling(NamedTuple):
 
 
 def make_filling(board: Board, rows: Iterable[int]) -> Filling:
-    """Validate that rows is a transversal of the board."""
+    """
+    Validate that rows is a transversal of the board; a 1 outside the
+    board raises OutOfBoardError naming the first such column.
+
+    >>> make_filling((3, 2, 1), (1, 2, 3))
+    Traceback (most recent call last):
+        ...
+    shapewilf.boards.OutOfBoardError: column 3: row 3 exceeds column height 1
+    """
     b = tuple(board)
     r = make_perm(rows)
     if len(r) != len(b):
@@ -187,21 +190,6 @@ def make_filling(board: Board, rows: Iterable[int]) -> Filling:
     return Filling(b, r)
 
 
-def filling_from_permutation(board: Board, w: Perm) -> Filling:
-    """
-    The filling with w_i in column i; raises OutOfBoardError naming the
-    first offending column (checked left to right).
-
-    >>> filling_from_permutation((3, 2, 1), (1, 2, 3))
-    Traceback (most recent call last):
-        ...
-    shapewilf.boards.OutOfBoardError: column 3: row 3 exceeds column height 1
-    """
-    if len(w) != len(board):
-        raise ValueError(f"permutation length {len(w)} != {len(board)} columns")
-    return make_filling(board, w)
-
-
 def parse_filling(text: str) -> Filling:
     """
     >>> parse_filling("[3,2,1]/321").rows
@@ -210,7 +198,7 @@ def parse_filling(text: str) -> Filling:
     left, sep, right = text.partition("/")
     if not sep:
         raise ValueError(f"bad filling notation (missing '/'): {text!r}")
-    return filling_from_permutation(parse_board(left), parse_perm(right))
+    return make_filling(parse_board(left), parse_perm(right))
 
 
 def format_filling(f: Filling) -> str:
@@ -274,7 +262,7 @@ def filling_contains(f: Filling, p: Perm) -> bool:
     """
     In-board containment of the classical pattern p.
 
-    >>> fig = filling_from_permutation(board_from_row_lengths((6, 6, 6, 4, 3, 2)), parse_perm("561423"))
+    >>> fig = make_filling(board_from_row_lengths((6, 6, 6, 4, 3, 2)), parse_perm("561423"))
     >>> filling_contains(fig, (3, 1, 2))
     False
     >>> filling_contains(fig, (1, 2, 3))

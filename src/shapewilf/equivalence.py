@@ -22,6 +22,13 @@ whatever n is.  The board walk of ``boards`` carries the same frontier
 over absolute rows.  All counts are exact Python integers, so there is
 no overflow to detect.
 
+Reverse, complement and inverse generate the eight symmetries of the
+square.  ``SYMMETRIES`` lists them as words applied left to right: the
+identity, the two flips and the half-turn ("", "r", "c", "rc"), each
+alone or followed by the transpose "i".  A set's orbit is its images
+under the eight (``symmetry_orbit``), and the Wilf-equivalences within
+one orbit are the trivial ones.
+
 Avoider counts do not change under reverse, complement and inverse, so
 ``avoider_counts`` keeps, per process, the longest count list walked for
 each symmetry class, keyed by ``trivial_symmetry_class``, with the
@@ -53,10 +60,7 @@ from .perms import (
     parse_perm,
     prefix_table,
     set_apply_ops,
-    set_complement,
     set_direct_sum,
-    set_inverse,
-    set_reverse,
 )
 from .boards import Board, filling_counts
 
@@ -325,21 +329,19 @@ def find_shape_wilf_divergence(
 # ---------------------------------------------------------------------------
 # symmetry orbits
 
+SYMMETRIES = ("", "r", "c", "rc", "i", "ri", "ci", "rci")
+
+
 def symmetry_orbit(patterns: PatternSet) -> list[PatternSet]:
     """
-    Orbit of a pattern set under elementwise reverse, complement and
-    inverse, sorted canonically.
+    Orbit of a pattern set under the eight symmetries of the square,
+    sorted canonically.
+
+    >>> len(symmetry_orbit(frozenset({(1, 3, 2)})))
+    4
     """
-    start = frozenset(patterns)
-    seen = {start}
-    queue = [start]
-    while queue:
-        s = queue.pop()
-        for image in (set_reverse(s), set_complement(s), set_inverse(s)):
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return sorted(seen, key=lambda s: sorted(s))
+    patterns = frozenset(patterns)  # read a one-shot iterable once
+    return sorted({set_apply_ops(patterns, ops) for ops in SYMMETRIES}, key=sorted)
 
 
 def trivial_symmetry_class(patterns: PatternSet) -> PatternSet:

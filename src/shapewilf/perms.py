@@ -146,10 +146,6 @@ def direct_sum(a: Perm, b: Perm) -> Perm:
 # ---------------------------------------------------------------------------
 # pattern sets
 
-def make_pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
-    return frozenset(make_perm(p) for p in patterns)
-
-
 def parse_pattern_set(text: str) -> PatternSet:
     """
     Parse "{12345,12354}" (braces optional).  Each member uses digit
@@ -175,18 +171,6 @@ def format_pattern_set(patterns: PatternSet) -> str:
     '{12,21}'
     """
     return "{" + ",".join(format_perm(p) for p in sorted(patterns)) + "}"
-
-
-def set_reverse(patterns: PatternSet) -> PatternSet:
-    return frozenset(reverse(p) for p in patterns)
-
-
-def set_complement(patterns: PatternSet) -> PatternSet:
-    return frozenset(complement(p) for p in patterns)
-
-
-def set_inverse(patterns: PatternSet) -> PatternSet:
-    return frozenset(inverse(p) for p in patterns)
 
 
 def set_apply_ops(patterns: PatternSet, ops: str) -> PatternSet:

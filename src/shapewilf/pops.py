@@ -97,16 +97,6 @@ def format_pop(p: Pop) -> str:
     return f"{p.size}; {rels}" if rels else f"{p.size};"
 
 
-def chain_pop(k: int) -> Pop:
-    """The chain 1 < 2 < ... < k; equivalent to the classical pattern 12...k."""
-    return pop(k, [(i, i + 1) for i in range(1, k)])
-
-
-def antichain_pop(k: int) -> Pop:
-    """No relations at all; occurs on every k-subsequence."""
-    return pop(k, [])
-
-
 def fan_pop(k: int, apex: int) -> Pop:
     """
     One apex position above all others, no other relations.
@@ -133,11 +123,6 @@ def below_all_pop(k: int, bottom: int) -> Pop:
     return pop(k, [(bottom, j) for j in range(1, k + 1) if j != bottom])
 
 
-def valley_pop() -> Pop:
-    """Size-3 POP with position 2 below positions 1 and 3."""
-    return below_all_pop(3, 2)
-
-
 def pop_occurrences(p: Pop, w: Perm) -> int:
     """
     Number of index tuples i_1 < ... < i_k whose values respect every
@@ -145,7 +130,7 @@ def pop_occurrences(p: Pop, w: Perm) -> int:
 
     >>> pop_occurrences(pop(3, [(3, 1)]), (4, 1, 5, 2, 3))
     6
-    >>> pop_occurrences(antichain_pop(3), (3, 2, 1))
+    >>> pop_occurrences(pop(3, []), (3, 2, 1))
     1
     """
     k, n = p.size, len(w)
@@ -185,10 +170,6 @@ def _pop_walk(
             chosen[j] = v
             total += _pop_walk(constraints, w, chosen, j + 1, i + 1)
     return total
-
-
-def pop_avoids(p: Pop, w: Perm) -> bool:
-    return pop_occurrences(p, w) == 0
 
 
 def pop_to_pattern_set(p: Pop) -> PatternSet:

@@ -25,8 +25,8 @@ from shapewilf.boards import (
     count_fillings,
     enumerate_boards,
     filling_contains,
-    filling_from_permutation,
     fillings,
+    make_filling,
     square_board,
     transversal_count_formula,
 )
@@ -59,7 +59,7 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 def test_criterion_1_worked_examples():
     assert pattern_occurrences(parse_perm("123"), parse_perm("31425")) == 3
     assert pop_occurrences(pop(3, [(3, 1)]), parse_perm("41523")) == 6
-    fig = filling_from_permutation(
+    fig = make_filling(
         board_from_row_lengths((6, 6, 6, 4, 3, 2)), parse_perm("561423")
     )
     assert not filling_contains(fig, parse_perm("312"))

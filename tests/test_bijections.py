@@ -13,13 +13,11 @@ from shapewilf.boards import (
     enumerate_boards,
     filling_avoids_all,
     filling_contains,
-    filling_from_permutation,
     fillings,
     fillings_by_board,
     format_filling,
     make_filling,
     square_board,
-    staircase_board,
     transpose_filling,
 )
 from shapewilf import bijections
@@ -57,8 +55,15 @@ def test_fan_on_full_square_maps_avoiders_onto_avoiders():
     assert {g.rows for g in images} == {f.rows for f in fillings(board, tgt)}
 
 
+def test_fan_params_rejects_the_empty_set_like_any_non_fan_set():
+    assert bijections.fan_params(parse_pattern_set("{312,321}")) == (3, 1)
+    for patterns in (frozenset(), frozenset({()}), parse_pattern_set("{123}")):
+        with pytest.raises(ValueError, match="is not a fan pattern set"):
+            bijections.fan_params(patterns)
+
+
 def test_fan_precondition_violation():
-    f = filling_from_permutation(square_board(3), parse_perm("312"))
+    f = make_filling(square_board(3), parse_perm("312"))
     with pytest.raises(BijectionError):
         fan_bijection(f, 3, 1, 3)  # 312 contains the source pattern 312
 
@@ -139,7 +144,7 @@ def test_fan_bottom_last_verifies():
 def test_fan_bottom_last_staircase_forced():
     # the staircase has a unique filling on both sides, which must map to itself
     for n in (1, 2, 3, 4):
-        f = next(iter(fillings(staircase_board(n))))
+        f = next(iter(fillings(tuple(range(n, 0, -1)))))
         assert fan_to_bottom_last(f, 3) == f
 
 
@@ -199,7 +204,7 @@ def test_wedge_valley_full_square_counts():
 
 def test_wedge_valley_single_slot_trace_flag():
     # on the staircase every level has a top row of length 1
-    f = next(iter(fillings(staircase_board(3))))
+    f = next(iter(fillings(tuple(range(3, 0, -1)))))
     trace = []
     wedge_valley_bijection(f, parse_pattern_set("{123,213}"), VALLEY, trace)
     assert any("no 1 below the top row" in line for line in trace)
@@ -213,7 +218,7 @@ def test_wedge_valley_rejects_unknown_pair():
 
 def test_transfer_identity_when_tail_avoided_everywhere():
     # decreasing filling avoids {12} entirely: all squares blue, map is identity
-    f = filling_from_permutation(square_board(4), parse_perm("4321"))
+    f = make_filling(square_board(4), parse_perm("4321"))
     inner = fan_oracle(3, 3, 1)
     assert direct_sum_transfer(f, parse_pattern_set("{12}"), inner) == f
 
@@ -325,7 +330,7 @@ def test_transfer_red_region_matches_its_definition():
 
 
 def test_transfer_precondition_violation():
-    f = filling_from_permutation(square_board(5), parse_perm("12345"))
+    f = make_filling(square_board(5), parse_perm("12345"))
     with pytest.raises(BijectionError):
         direct_sum_transfer(f, parse_pattern_set("{12}"), fan_oracle(3, 3, 1))
 
@@ -478,7 +483,7 @@ def test_shape_preservation_everywhere():
 
 
 def test_fan_trace_has_one_line_per_level():
-    f = filling_from_permutation(square_board(4), parse_perm("1234"))
+    f = make_filling(square_board(4), parse_perm("1234"))
     trace = []
     fan_bijection(f, 3, 1, 3, trace)
     assert len([l for l in trace if l.startswith("peel")]) == 4

@@ -19,17 +19,16 @@ from shapewilf.boards import (
     filling_avoids_all,
     filling_contains,
     filling_counts,
-    filling_from_permutation,
     fillings,
     fillings_by_board,
     format_board,
     format_filling,
     make_board,
+    make_filling,
     parse_board,
     parse_filling,
     profile_contains,
     square_board,
-    staircase_board,
     transversal_count_formula,
 )
 
@@ -129,14 +128,14 @@ def test_enumerate_boards_all_admit():
             assert admits_filling(board)
 
 
-def test_filling_from_permutation():
-    f = filling_from_permutation(FIG_BOARD, parse_perm("561423"))
+def test_make_filling():
+    f = make_filling(FIG_BOARD, parse_perm("561423"))
     assert f.rows == (5, 6, 1, 4, 2, 3)
     with pytest.raises(OutOfBoardError) as err:
-        filling_from_permutation((3, 2, 1), (1, 2, 3))
+        make_filling((3, 2, 1), (1, 2, 3))
     assert err.value.column == 3
     # any permutation fits the full square
-    filling_from_permutation(square_board(4), parse_perm("3142"))
+    make_filling(square_board(4), parse_perm("3142"))
 
 
 def test_filling_notation_roundtrip():
@@ -147,7 +146,7 @@ def test_filling_notation_roundtrip():
 
 
 def test_fig_filling_containment():
-    f = filling_from_permutation(FIG_BOARD, parse_perm("561423"))
+    f = make_filling(FIG_BOARD, parse_perm("561423"))
     assert not filling_contains(f, parse_perm("312"))
     assert filling_contains(f, parse_perm("123"))
 
@@ -174,7 +173,7 @@ def test_containment_on_full_square_is_plain_containment():
     from shapewilf.perms import contains
 
     for w in all_perms(4):
-        f = filling_from_permutation(square_board(4), w)
+        f = make_filling(square_board(4), w)
         for k in (2, 3):
             for p in all_perms(k):
                 assert filling_contains(f, p) == contains(p, w)
@@ -225,8 +224,8 @@ def test_corner_profile_decides_in_board_avoidance(patterns):
 
 
 def test_staircase_has_unique_filling():
-    assert [f.rows for f in fillings(staircase_board(3))] == [(3, 2, 1)]
-    assert count_fillings(staircase_board(5)) == 1
+    assert [f.rows for f in fillings(tuple(range(3, 0, -1)))] == [(3, 2, 1)]
+    assert count_fillings(tuple(range(5, 0, -1))) == 1
 
 
 def test_count_fillings_examples():

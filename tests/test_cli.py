@@ -101,6 +101,8 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         ("bijection", "fan-bottom-last", "--k", "0", "--verify", "2"),
         ("bijection", "fan", "--k", "-3", "--source-apex", "1", "--target-apex", "3",
          "--verify", "2"),
+        ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
+         "--filling", "[3,3,3]/12"),
         # argparse's own usage errors; it reads "-inf" as a flag
         ("--time-budget", "-inf", "count-av", "--set", "{123,132}"),
         ("count-av", "--n", "3"),
@@ -114,6 +116,8 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         k = argv[argv.index("--k") + 1] if "--k" in argv else "1"
         if int(k) < 1:  # the error names the bad size, not the apex
             assert err == f"error: POP size must be >= 1, got {k}\n", argv
+        if "--filling" in argv:
+            assert err == "error: 2 rows for 3 columns\n", argv
 
 
 N = object()  # stands for a size drawn by the property below

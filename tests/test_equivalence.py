@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapewilf.perms import format_pattern_set, parse_pattern_set, set_reverse
+from shapewilf.perms import format_pattern_set, parse_pattern_set, set_apply_ops
 from shapewilf.boards import (
     Filling,
     count_fillings,
@@ -136,7 +136,7 @@ def test_one_walk_per_symmetry_class(monkeypatch):
 
 def test_avoider_counts_reads_a_generator_once():
     assert avoider_counts((p for p in HUB), 5) == [1, 2, 6, 24, 118]
-    assert avoider_counts((p for p in set_reverse(HUB)), 6)[-1] == 672
+    assert avoider_counts((p for p in set_apply_ops(HUB, "r")), 6)[-1] == 672
     assert counts_within_budget((p for p in HUB), 4, 0) == [1, 2, 6, 24]
 
 
@@ -179,7 +179,7 @@ def test_wilf_table_divergence():
 
 def test_wilf_table_symmetry_always_equal():
     s = parse_pattern_set("{132,4321}")
-    report = wilf_table(s, set_reverse(s), 6)
+    report = wilf_table(s, set_apply_ops(s, "r"), 6)
     assert report.equal
     assert [r.n for r in report.rows] == list(range(1, 7))
 
@@ -221,6 +221,19 @@ def test_symmetry_orbit_and_canonical():
     # idempotent
     s = parse_pattern_set("{12345,12354}")
     assert trivial_symmetry_class(trivial_symmetry_class(s)) == trivial_symmetry_class(s)
+
+
+@given(pattern_sets)
+@settings(max_examples=100, deadline=None)
+def test_symmetry_orbit_is_closed(patterns):
+    orbit = symmetry_orbit(patterns)
+    assert symmetry_orbit(iter(patterns)) == orbit
+    assert patterns in orbit
+    assert 8 % len(orbit) == 0
+    for member in orbit:
+        for op in "rci":
+            assert set_apply_ops(member, op) in orbit, (member, op)
+        assert symmetry_orbit(member) == orbit, member
 
 
 def test_equivalence_of_main_sets_is_not_a_trivial_symmetry():
@@ -316,7 +329,7 @@ def test_budget_after_a_cache_hit_projects_from_the_stored_walk(monkeypatch):
     # the lookup takes no time, but level 6 projects to 64 ms
     assert len(counts_within_budget(HUB, 5, 0.05)) == 5 and walks == [5]
     # levels below the end of the stored list are lookups; then it decides
-    assert len(counts_within_budget(set_reverse(HUB), 3, 0.05)) == 5 and walks == [5]
+    assert len(counts_within_budget(set_apply_ops(HUB, "r"), 3, 0.05)) == 5 and walks == [5]
     assert len(counts_within_budget(HUB, 5, 0.07)) == 6 and walks == [5, 6]
 
 

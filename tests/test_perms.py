@@ -26,7 +26,6 @@ from shapewilf.perms import (
     reverse,
     set_apply_ops,
     set_direct_sum,
-    set_reverse,
 )
 from shapewilf.equivalence import child_forbidden
 from shapewilf.boards import Filling, child_blocks, corner_profile, filling_avoids_all
@@ -261,7 +260,7 @@ def test_direct_sum_reverse_complement_antihomomorphism():
 
 
 def test_set_symmetries_worked_examples():
-    assert set_reverse(parse_pattern_set("{45123,45213}")) == parse_pattern_set(
+    assert set_apply_ops(parse_pattern_set("{45123,45213}"), "r") == parse_pattern_set(
         "{32154,31254}"
     )
     assert set_apply_ops(parse_pattern_set("{12345,12354}"), "rc") == parse_pattern_set(

@@ -5,17 +5,13 @@ from hypothesis import strategies as st
 
 from shapewilf.perms import all_perms, format_pattern_set, parse_perm, pattern_occurrences
 from shapewilf.pops import (
-    antichain_pop,
     below_all_pop,
-    chain_pop,
     fan_pop,
     format_pop,
     parse_pop,
     pop,
-    pop_avoids,
     pop_occurrences,
     pop_to_pattern_set,
-    valley_pop,
 )
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
@@ -38,7 +34,7 @@ def test_intro_pop_occurrence_count():
 
 def test_chain_equals_classical_pattern_exhaustively():
     for k in (2, 3):
-        chain = chain_pop(k)
+        chain = pop(k, [(i, i + 1) for i in range(1, k)])
         ident = tuple(range(1, k + 1))
         for n in range(0, 8):
             for w in all_perms(n):
@@ -46,8 +42,8 @@ def test_chain_equals_classical_pattern_exhaustively():
 
 
 def test_antichain_counts_all_subsequences():
-    assert pop_occurrences(antichain_pop(3), (3, 2, 1)) == 1
-    assert pop_occurrences(antichain_pop(2), (1, 2, 3)) == 3
+    assert pop_occurrences(pop(3, []), (3, 2, 1)) == 1
+    assert pop_occurrences(pop(2, []), (1, 2, 3)) == 3
 
 
 def test_fan_pattern_sets():
@@ -57,13 +53,13 @@ def test_fan_pattern_sets():
 
 
 def test_below_all_pattern_sets():
-    assert format_pattern_set(pop_to_pattern_set(valley_pop())) == "{213,312}"
+    assert format_pattern_set(pop_to_pattern_set(below_all_pop(3, 2))) == "{213,312}"
     assert format_pattern_set(pop_to_pattern_set(below_all_pop(3, 3))) == "{231,321}"
     assert format_pattern_set(pop_to_pattern_set(below_all_pop(3, 1))) == "{123,132}"
 
 
 def test_chain_expands_to_single_pattern():
-    assert pop_to_pattern_set(chain_pop(3)) == {(1, 2, 3)}
+    assert pop_to_pattern_set(pop(3, [(1, 2), (2, 3)])) == {(1, 2, 3)}
 
 
 def test_pop_construction_errors():
@@ -120,4 +116,3 @@ def test_pop_count_is_sum_over_pattern_set(kp, w):
         return  # cyclic generator set
     total = sum(pattern_occurrences(sigma, w) for sigma in pop_to_pattern_set(p))
     assert pop_occurrences(p, w) == total
-    assert pop_avoids(p, w) == (total == 0)
