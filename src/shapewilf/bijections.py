@@ -27,8 +27,11 @@ level whose top-row 1 is not a valid slot.  The maps:
   with an in-board occurrence of some pattern of T strictly above and to
   the right) and a "blue" rest, mapping the squashed red subfilling with
   the inner bijection, and reinserting the blue rows and columns.  The red
-  region is read off one list of the in-board tail occurrences; when it
-  holds no 1 the filling is its own image and the inner map is skipped.
+  region is read off the in-board tail occurrences; when it holds no 1 the
+  filling is its own image and the inner map is skipped.  Two bounded memo
+  tables (4096 entries each) share work across fillings: the tail
+  occurrences of each row tuple, and the inner image of each squashed red
+  subfilling, which assumes the inner map is a pure function of its filling.
 
 ``verify_bijection`` checks a map exhaustively on every board up to a
 size.  Its avoidance checks use the corner profile of each distinct row
@@ -178,9 +181,9 @@ def _fan_slots(ell: int, k: int, apex: int) -> list[int]:
     # Placing the top-row 1 at column i creates an occurrence (apex at the
     # new maximum) exactly when both sides hold enough columns:
     # i > apex-1 and i < ell-(k-apex)+1.  For ell < k every column is safe.
-    left = set(range(1, min(apex, ell + 1)))
-    right = set(range(max(1, ell - (k - apex) + 1), ell + 1))
-    return sorted(left | right)
+    # the two runs merge when the right one starts by the left one's end
+    a = min(apex, ell + 1)
+    return [*range(1, a), *range(max(a, ell - (k - apex) + 1), ell + 1)]
 
 
 def _fan_rule(k: int, apex: int) -> SlotRule:
@@ -329,21 +332,24 @@ def direct_sum_transfer(
     ``inner.target (+) tail`` on the same board.
 
     Every board cell with an in-board occurrence of some tail pattern
-    strictly above and to its right is red, the rest blue.  The corner test
-    keeps the in-board ones of the tail occurrences the reference walker
-    lists; a column's red cells are the rows below the highest lowest row
-    of one starting to its right, up to the column's height.  Rows and
-    columns of blue 1s are deleted, the red remainder is squashed
-    bottom-left into a smaller board, mapped with the inner bijection, and
-    the blue rows and columns are reinserted unchanged.  The squashed board
-    is Ferrers by construction: a column's red top is the minimum of its
-    height and a suffix maximum, two sequences that never increase to the
-    right.  ``make_filling`` checks only that the red 1s are a transversal
-    of it.  A filling whose red region holds no 1 (one avoiding the tail
-    everywhere is all blue) maps to itself at once: the squashed red
-    subfilling is the empty filling, the image of itself under any
-    shape-preserving inner map, so the inner map is not run; the trace
-    still gets its transfer line.  A
+    strictly above and to its right is red, the rest blue.  The reference
+    walker lists the tail occurrences once per row tuple (a bounded memo
+    table) and the corner test keeps the in-board ones on f's board; a
+    column's red cells are the rows below the highest lowest row of one
+    starting to its right, up to the column's height.  Rows and columns of
+    blue 1s are deleted, the red remainder is squashed bottom-left into a
+    smaller board, mapped with the inner bijection, and the blue rows and
+    columns are reinserted unchanged.  The inner image is memoized per
+    ``inner.apply`` and squashed subfilling in a second bounded table, so
+    the inner map must be a pure function of its filling; one that raises
+    caches nothing, and it runs with no trace.  The squashed board is
+    Ferrers by construction: a column's red top is the minimum of its height
+    and a suffix maximum, two sequences that never increase to the right.
+    ``make_filling`` checks only that the red 1s are a transversal of it.  A
+    filling whose red region holds no 1 (one avoiding the tail everywhere is
+    all blue) maps to itself at once: the squashed red subfilling is the
+    empty filling, the image of itself under any shape-preserving inner map,
+    so the inner map is not run; the trace still gets its transfer line.  A
     non-avoider has a red subfilling that contains ``inner.source``, so the
     inner map raises at its first invalid peel level.
     """
@@ -356,15 +362,12 @@ def direct_sum_transfer(
     # below the highest lowest row among those occurrences: the highest
     # lowest row per start column, then a suffix maximum from the right;
     # index m holds the empty occurrence, above and right of every cell
+    tail = frozenset(tail)
     reach = [0] * m + [m + 1 if () in tail else 0]
-    for p in filter(None, tail):
-        # an occurrence's highest and lowest rows are at p's k and 1; it is
+    for start, last, high, low in _tail_corners(rows, tail):
         # in-board iff its highest row is at most its last column's height
-        top, bottom = p.index(len(p)), p.index(1)
-        for occ in occurrences(p, rows):
-            low = rows[occ[bottom] - 1]
-            if rows[occ[top] - 1] <= board[occ[-1] - 1] and low > reach[occ[0] - 1]:
-                reach[occ[0] - 1] = low
+        if high <= board[last] and low > reach[start]:
+            reach[start] = low
     red_top = [0] * m
     best = reach[m]
     for c in range(m - 1, -1, -1):
@@ -394,7 +397,7 @@ def direct_sum_transfer(
         ) from exc
     _trace_transfer(trace, sub, sorted(blue_rows))
 
-    mapped = inner.apply(sub)
+    mapped = _inner_image(inner.apply, sub)
     if mapped.board != sub.board:
         raise BijectionError(
             f"inner oracle {inner.name!r} changed the board shape: "
@@ -405,6 +408,23 @@ def direct_sum_transfer(
     for t, c in enumerate(surv_cols):
         out_rows[c - 1] = surv_rows[mapped.rows[t] - 1]
     return Filling(board, tuple(out_rows))
+
+
+@lru_cache(maxsize=1 << 12)
+def _tail_corners(rows: Perm, tail: PatternSet) -> tuple[tuple[int, int, int, int], ...]:
+    """Each occurrence in rows of a nonempty pattern of the tail as 0-based
+    (first column, last column, highest row, lowest row); an occurrence's
+    highest and lowest rows sit at its pattern's k and 1."""
+    return tuple(
+        (occ[0] - 1, occ[-1] - 1, rows[occ[p.index(len(p))] - 1], rows[occ[p.index(1)] - 1])
+        for p in filter(None, tail) for occ in occurrences(p, rows)
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _inner_image(apply: Callable[..., Filling], sub: Filling) -> Filling:
+    """``apply(sub)``, run once per inner map and squashed subfilling."""
+    return apply(sub)
 
 
 def _trace_transfer(trace: Trace, sub: Filling, blue_rows: list[int]) -> None:

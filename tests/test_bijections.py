@@ -1,4 +1,5 @@
 """The four constructive bijections and the verification harness."""
+import dataclasses
 import hashlib
 from itertools import combinations
 
@@ -333,6 +334,70 @@ def test_transfer_precondition_violation():
     f = make_filling(square_board(5), parse_perm("12345"))
     with pytest.raises(BijectionError):
         direct_sum_transfer(f, parse_pattern_set("{12}"), fan_oracle(3, 3, 1))
+
+
+def _clear_transfer_memos():
+    bijections._tail_corners.cache_clear()
+    bijections._inner_image.cache_clear()
+
+
+def test_transfer_memos_key_on_everything_the_image_depends_on():
+    # one inner map under two tails, and a second inner map under the first
+    # tail, interleaved filling by filling in one process: each image must
+    # be the one computed right after both memo tables are emptied
+    fan = fan_oracle(3, 3, 1)
+    oracles = [
+        transfer_oracle(fan, {(1, 2)}),
+        transfer_oracle(fan, {(2, 1)}),
+        transfer_oracle(wedge_valley_oracle(parse_pattern_set("{132,213}"), VALLEY), {(1, 2)}),
+    ]
+    sources = [
+        [Filling(board, rows) for n in range(1, 6)
+         for board, listed in fillings_by_board(n, oracle.source) for rows in listed]
+        for oracle in oracles
+    ]
+    _clear_transfer_memos()
+    warm = [[] for _ in oracles]
+    for i in range(max(map(len, sources))):
+        for oracle, listed, images in zip(oracles, sources, warm):
+            if i < len(listed):
+                images.append(oracle.apply(listed[i]))
+    for oracle, listed, images in zip(oracles, sources, warm):
+        for f, g in zip(listed, images):
+            _clear_transfer_memos()
+            assert oracle.apply(f) == g, (oracle.name, f)
+    # an inner map that raises caches nothing: a non-avoider raises again
+    f = make_filling(square_board(5), parse_perm("12345"))
+    for _ in range(2):
+        with pytest.raises(BijectionError):
+            direct_sum_transfer(f, parse_pattern_set("{12}"), fan)
+
+
+def test_transfer_lists_each_row_tuple_and_maps_each_subfilling_once(monkeypatch):
+    # the pinned transfer at n <= 6 maps 11 356 sources with 823 distinct
+    # row tuples, and runs its inner map on 24 distinct squashed subfillings
+    calls = {"occurrences": 0, "inner": 0}
+    listing = bijections.occurrences
+
+    def counted_occurrences(p, rows):
+        calls["occurrences"] += 1
+        return listing(p, rows)
+
+    fan = fan_oracle(3, 3, 1)
+
+    def counted_apply(f, trace=None):
+        calls["inner"] += 1
+        return fan.apply(f, trace)
+
+    monkeypatch.setattr(bijections, "occurrences", counted_occurrences)
+    _clear_transfer_memos()
+    inner = dataclasses.replace(fan, apply=counted_apply)
+    report = verify_bijection(transfer_oracle(inner, parse_pattern_set("{12}")), 6)
+    assert report.describe() == (
+        "transfer[fan k=3 apex 3->1] (+) {12}: OK on 196 boards / 11356 fillings (n <= 6)"
+    )
+    assert calls == {"occurrences": 823, "inner": 24}
+    _clear_transfer_memos()
 
 
 def test_transfer_accepts_any_inner_oracle():
