@@ -75,6 +75,7 @@ from .equivalence import (
     avoiders,
     count_avoiders,
     count_avoiders_naive,
+    evaluate_oracle_expression,
     evaluate_set_expression,
     find_shape_wilf_divergence,
     shape_wilf_table,

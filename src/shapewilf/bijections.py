@@ -239,17 +239,6 @@ def _fan_set(k: int, apex: int) -> PatternSet:
     return pop_to_pattern_set(fan_pop(k, apex))
 
 
-def fan_params(patterns: PatternSet) -> tuple[int, int]:
-    """Recognize a fan set as (k, apex); any member's maximum sits at the
-    only apex the set can have, so one fan set is built and compared."""
-    some = next(iter(patterns), ())
-    k = len(some)
-    apex = some.index(k) + 1 if some else 0
-    if apex and _fan_set(k, apex) == patterns:
-        return k, apex
-    raise ValueError(f"{format_pattern_set(patterns)} is not a fan pattern set")
-
-
 def _pset(*words: str) -> PatternSet:
     return frozenset(tuple(int(ch) for ch in word) for word in words)
 
@@ -345,13 +334,14 @@ def direct_sum_transfer(
     caches nothing, and it runs with no trace.  The squashed board is
     Ferrers by construction: a column's red top is the minimum of its height
     and a suffix maximum, two sequences that never increase to the right.
-    ``make_filling`` checks only that the red 1s are a transversal of it.  A
-    filling whose red region holds no 1 (one avoiding the tail everywhere is
-    all blue) maps to itself at once: the squashed red subfilling is the
-    empty filling, the image of itself under any shape-preserving inner map,
-    so the inner map is not run; the trace still gets its transfer line.  A
-    non-avoider has a red subfilling that contains ``inner.source``, so the
-    inner map raises at its first invalid peel level.
+    ``make_filling`` checks only that the red 1s are a transversal of it,
+    once per memo miss.  A filling whose red region holds no 1 (one avoiding
+    the tail everywhere is all blue) maps to itself at once: the squashed
+    red subfilling is the empty filling, the image of itself under any
+    shape-preserving inner map, so the inner map is not run; the trace still
+    gets its transfer line.  A non-avoider has a red subfilling that
+    contains ``inner.source``, so the inner map raises at its first invalid
+    peel level.
     """
     board, rows = f
     m = len(board)
@@ -385,19 +375,11 @@ def direct_sum_transfer(
     surv_rows = [r for r in range(1, board[0] + 1) if r not in blue_rows]
     row_rank = {r: t + 1 for t, r in enumerate(surv_rows)}
 
-    sub_board = tuple(
-        bisect_right(surv_rows, red_top[c - 1]) for c in surv_cols
-    )
-    sub_rows = tuple(row_rank[rows[c - 1]] for c in surv_cols)
-    try:
-        sub = make_filling(sub_board, sub_rows)
-    except ValueError as exc:
-        raise BijectionError(
-            f"squashed red region is not a Ferrers transversal: {exc}"
-        ) from exc
+    sub_board = tuple(bisect_right(surv_rows, red_top[c - 1]) for c in surv_cols)
+    sub = Filling(sub_board, tuple(row_rank[rows[c - 1]] for c in surv_cols))
     _trace_transfer(trace, sub, sorted(blue_rows))
 
-    mapped = _inner_image(inner.apply, sub)
+    mapped = _inner_image(inner.apply, *sub)
     if mapped.board != sub.board:
         raise BijectionError(
             f"inner oracle {inner.name!r} changed the board shape: "
@@ -422,8 +404,15 @@ def _tail_corners(rows: Perm, tail: PatternSet) -> tuple[tuple[int, int, int, in
 
 
 @lru_cache(maxsize=1 << 12)
-def _inner_image(apply: Callable[..., Filling], sub: Filling) -> Filling:
-    """``apply(sub)``, run once per inner map and squashed subfilling."""
+def _inner_image(apply: Callable[..., Filling], board: Board, rows: Perm) -> Filling:
+    """``apply`` of the squashed subfilling, checked to be a transversal
+    once per inner map and subfilling; a raise caches nothing."""
+    try:
+        sub = make_filling(board, rows)
+    except ValueError as exc:
+        raise BijectionError(
+            f"squashed red region is not a Ferrers transversal: {exc}"
+        ) from exc
     return apply(sub)
 
 

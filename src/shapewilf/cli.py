@@ -3,7 +3,9 @@ Command-line front end.
 
 Subcommands: count-av, check, suite, bijection, boards, fillings, oeis.
 Global flags (before the subcommand): --format {table,csv,json-lines},
---offline, --cache-dir, --time-budget, --timings.
+--offline, --cache-dir, --time-budget, --timings.  ``bijection`` names its
+map by one oracle expression (``equivalence.evaluate_oracle_expression``),
+e.g. "transfer(fan(3,3,1),{12})", and takes --filling or --verify.
 
 Exit status: 0 = success / verdict equal, 1 = mathematical divergence or
 failed verification, 2 = usage error, reported as one "error: ..." line
@@ -30,17 +32,14 @@ from .boards import (
     parse_board,
     parse_filling,
 )
-from .bijections import (
-    BijectionError,
-    BijectionOracle,
-    fan_bottom_last_oracle,
-    fan_oracle,
-    fan_params,
-    transfer_oracle,
-    verify_bijection,
-    wedge_valley_oracle,
+from .bijections import BijectionError, verify_bijection
+from .equivalence import (
+    BUDGET_CAP,
+    counts_within_budget,
+    evaluate_oracle_expression,
+    shape_wilf_table,
+    wilf_table,
 )
-from .equivalence import BUDGET_CAP, counts_within_budget, shape_wilf_table, wilf_table
 from .suites import SuiteOptions, run_suite
 from . import oeis
 
@@ -146,40 +145,12 @@ def cmd_suite(args) -> int:
     return EXIT_OK if not failed else EXIT_DIVERGENCE
 
 
-def _build_oracle(args) -> BijectionOracle:
-    if args.name == "fan":
-        if args.k is None or args.source_apex is None or args.target_apex is None:
-            raise ValueError("fan needs --k, --source-apex and --target-apex")
-        return fan_oracle(args.k, args.source_apex, args.target_apex)
-    if args.name == "fan-bottom-last":
-        if args.k is None:
-            raise ValueError("fan-bottom-last needs --k")
-        return fan_bottom_last_oracle(args.k)
-    if args.name == "wedge-valley":
-        if not args.source or not args.target:
-            raise ValueError("wedge-valley needs --source and --target")
-        return wedge_valley_oracle(
-            parse_pattern_set(args.source), parse_pattern_set(args.target)
-        )
-    if args.name == "transfer":
-        if not args.source or not args.target or not args.tail:
-            raise ValueError("transfer needs --source, --target and --tail")
-        k1, a1 = fan_params(parse_pattern_set(args.source))
-        k2, a2 = fan_params(parse_pattern_set(args.target))
-        if k1 != k2:
-            raise ValueError("transfer source and target fan sets differ in size")
-        return transfer_oracle(fan_oracle(k1, a1, a2), parse_pattern_set(args.tail))
-    raise ValueError(f"unknown bijection {args.name!r}")
-
-
 def cmd_bijection(args) -> int:
-    oracle = _build_oracle(args)
+    oracle = evaluate_oracle_expression(args.oracle)
     if args.verify is not None:
         report = verify_bijection(oracle, args.verify)
         print(report.describe())
         return EXIT_OK if report.ok else EXIT_DIVERGENCE
-    if not args.filling:
-        raise ValueError("need --filling FILLING or --verify N")
     f = parse_filling(args.filling)
     trace: Optional[list] = [] if args.trace else None
     try:
@@ -302,18 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("bijection", help="apply or verify a bijection")
-    p.add_argument("name", choices=["fan", "fan-bottom-last", "wedge-valley",
-                                    "transfer"])
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--source-apex", type=int, default=None)
-    p.add_argument("--target-apex", type=int, default=None)
-    p.add_argument("--source", default=None, help="source pattern set")
-    p.add_argument("--target", default=None, help="target pattern set")
-    p.add_argument("--tail", default=None,
-                   help="pattern set appended by direct sum (transfer only)")
-    p.add_argument("--filling", default=None, help='e.g. "[3,3,3]/321"')
-    p.add_argument("--verify", type=int, default=None, metavar="N_MAX",
-                   help="verify exhaustively on all boards up to N_MAX columns")
+    p.add_argument("oracle", metavar="EXPR", help='e.g. "transfer(fan(3,3,1),{12})"')
+    run = p.add_mutually_exclusive_group(required=True)
+    run.add_argument("--filling", help='e.g. "[3,3,3]/321"')
+    run.add_argument("--verify", type=int, metavar="N_MAX",
+                     help="verify exhaustively on all boards up to N_MAX columns")
     p.add_argument("--trace", action="store_true",
                    help="print the recursion's slot choices")
     p.set_defaults(fn=cmd_bijection)

@@ -45,9 +45,11 @@ is none.
 """
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import partialmethod
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .perms import (
     PatternSet,
@@ -63,6 +65,9 @@ from .perms import (
     set_direct_sum,
 )
 from .boards import Board, filling_counts
+from . import bijections
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -362,7 +367,11 @@ def trivial_symmetry_class(patterns: PatternSet) -> PatternSet:
 #   expr := term ('+' term)*          '+' is the direct sum
 #   term := atom ('^' [rci]+)?        postfix symmetries, applied left to right
 #   atom := perm | '{' perm (',' perm)* '}' | '(' expr ')'
-# Single permutations denote singleton sets.
+#   oracle := 'fan' '(' int ',' int ',' int ')'     fan_oracle(k, source apex, target apex)
+#           | 'fan-bottom-last' '(' int ')'         fan_bottom_last_oracle(k)
+#           | 'wedge-valley' '(' expr ',' expr ')'  wedge_valley_oracle(source, target)
+#           | 'transfer' '(' oracle ',' expr ')'    transfer_oracle(inner, tail)
+# Single permutations denote singleton sets; an int is a run of digits.
 
 class ExpressionError(ValueError):
     pass
@@ -389,8 +398,8 @@ class _ExprParser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse(self) -> PatternSet:
-        result = self.expr()
+    def parse(self, production: Callable[[_ExprParser], T]) -> T:
+        result = production(self)
         if self.peek():
             raise self.error("trailing input")
         return result
@@ -434,17 +443,42 @@ class _ExprParser:
             return frozenset({self.perm_literal()})
         raise self.error("expected a permutation, '{' or '('")
 
-    def perm_literal(self) -> Perm:
+    def digits(self, what: str, convert: Callable[[str], T]) -> T:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a permutation literal")
+        word = re.compile(r"\d*").match(self.text, self.pos).group()
+        self.pos += len(word)
+        if not word:
+            raise self.error(f"expected {what}")
         try:
-            return parse_perm(self.text[start : self.pos])
+            return convert(word)
         except ValueError as exc:
             raise self.error(str(exc)) from None
+
+    perm_literal = partialmethod(digits, "a permutation literal", parse_perm)
+    integer = partialmethod(digits, "an integer", int)
+
+    def oracle(self) -> bijections.BijectionOracle:
+        self.skip_ws()
+        name = re.compile(r"[a-z-]*").match(self.text, self.pos).group()
+        if name not in _ORACLES:
+            raise self.error(f"expected one of {', '.join(_ORACLES)}")
+        self.pos += len(name)
+        build, productions = _ORACLES[name]
+        args = []
+        for i, production in enumerate(productions):
+            self.take("," if i else "(")
+            args.append(production(self))
+        self.take(")")
+        return build(*args)
+
+
+# oracle name -> (builder, the production of each argument)
+_ORACLES = {
+    "fan": (bijections.fan_oracle, (_ExprParser.integer,) * 3),
+    "fan-bottom-last": (bijections.fan_bottom_last_oracle, (_ExprParser.integer,)),
+    "wedge-valley": (bijections.wedge_valley_oracle, (_ExprParser.expr,) * 2),
+    "transfer": (bijections.transfer_oracle, (_ExprParser.oracle, _ExprParser.expr)),
+}
 
 
 def evaluate_set_expression(text: str) -> PatternSet:
@@ -455,7 +489,17 @@ def evaluate_set_expression(text: str) -> PatternSet:
     >>> format_pattern_set(evaluate_set_expression("({123,213}+12)^rc"))
     '{12345,12354}'
     """
-    return _ExprParser(text).parse()
+    return _ExprParser(text).parse(_ExprParser.expr)
+
+
+def evaluate_oracle_expression(text: str) -> bijections.BijectionOracle:
+    """
+    The oracle an expression names, built and named by its builder.
+
+    >>> evaluate_oracle_expression("transfer(fan(3,3,1),{12})").name
+    'transfer[fan k=3 apex 3->1] (+) {12}'
+    """
+    return _ExprParser(text).parse(_ExprParser.oracle)
 
 
 def symmetry_identity_check(lhs: PatternSet, expression: str) -> bool:

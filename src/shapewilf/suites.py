@@ -19,10 +19,11 @@ from typing import Callable, Optional
 from .perms import PatternSet, format_pattern_set, parse_pattern_set
 from .pops import below_all_pop, pop_to_pattern_set
 from .boards import format_board
-from .bijections import fan_oracle, transfer_oracle, verify_bijection
+from .bijections import verify_bijection
 from .equivalence import (
     check_time_budget,
     counts_within_budget,
+    evaluate_oracle_expression,
     evaluate_set_expression,
     find_shape_wilf_divergence,
     shape_wilf_table,
@@ -223,7 +224,7 @@ def suite_main_conjecture(opts: SuiteOptions) -> list[Check]:
                 parse_pattern_set("{31245,32145}"), parse_pattern_set("{12345,21345}"),
                 n_shape),
         partial(_bijection_check, suite, "step-1-bijection",
-                transfer_oracle(fan_oracle(3, 3, 1), parse_pattern_set("{12}")),
+                evaluate_oracle_expression("transfer(fan(3,3,1),{12})"),
                 _size(opts.n_bijection, 5)),
         partial(_shape_wilf_check, suite, "step-2-boards",
                 parse_pattern_set("{12453,12543}"), parse_pattern_set("{21453,21543}"),

@@ -56,13 +56,6 @@ def test_fan_on_full_square_maps_avoiders_onto_avoiders():
     assert {g.rows for g in images} == {f.rows for f in fillings(board, tgt)}
 
 
-def test_fan_params_rejects_the_empty_set_like_any_non_fan_set():
-    assert bijections.fan_params(parse_pattern_set("{312,321}")) == (3, 1)
-    for patterns in (frozenset(), frozenset({()}), parse_pattern_set("{123}")):
-        with pytest.raises(ValueError, match="is not a fan pattern set"):
-            bijections.fan_params(patterns)
-
-
 def test_fan_precondition_violation():
     f = make_filling(square_board(3), parse_perm("312"))
     with pytest.raises(BijectionError):
@@ -371,17 +364,28 @@ def test_transfer_memos_key_on_everything_the_image_depends_on():
     for _ in range(2):
         with pytest.raises(BijectionError):
             direct_sum_transfer(f, parse_pattern_set("{12}"), fan)
+    # nor does a subfilling that is no transversal of its board
+    for _ in range(2):
+        with pytest.raises(BijectionError, match="not a Ferrers transversal"):
+            bijections._inner_image(fan.apply, (2, 1), (1, 2))
 
 
 def test_transfer_lists_each_row_tuple_and_maps_each_subfilling_once(monkeypatch):
     # the pinned transfer at n <= 6 maps 11 356 sources with 823 distinct
-    # row tuples, and runs its inner map on 24 distinct squashed subfillings
-    calls = {"occurrences": 0, "inner": 0}
+    # row tuples, and runs its inner map on 24 distinct squashed subfillings;
+    # the verifier builds each image once more, so make_filling runs once per
+    # source and once per distinct subfilling
+    calls = {"occurrences": 0, "inner": 0, "make_filling": 0}
     listing = bijections.occurrences
+    building = bijections.make_filling
 
     def counted_occurrences(p, rows):
         calls["occurrences"] += 1
         return listing(p, rows)
+
+    def counted_make_filling(board, rows):
+        calls["make_filling"] += 1
+        return building(board, rows)
 
     fan = fan_oracle(3, 3, 1)
 
@@ -390,13 +394,14 @@ def test_transfer_lists_each_row_tuple_and_maps_each_subfilling_once(monkeypatch
         return fan.apply(f, trace)
 
     monkeypatch.setattr(bijections, "occurrences", counted_occurrences)
+    monkeypatch.setattr(bijections, "make_filling", counted_make_filling)
     _clear_transfer_memos()
     inner = dataclasses.replace(fan, apply=counted_apply)
     report = verify_bijection(transfer_oracle(inner, parse_pattern_set("{12}")), 6)
     assert report.describe() == (
         "transfer[fan k=3 apex 3->1] (+) {12}: OK on 196 boards / 11356 fillings (n <= 6)"
     )
-    assert calls == {"occurrences": 823, "inner": 24}
+    assert calls == {"occurrences": 823, "inner": 24, "make_filling": 11356 + 24}
     _clear_transfer_memos()
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, notations, output formats, exit codes."""
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -83,6 +84,15 @@ def test_help_goes_to_stdout_and_exits_0(capsys):
         assert out.startswith("usage: shapewilf "), argv
 
 
+def test_bijection_takes_one_expression_and_three_options(capsys):
+    code, out, _ = run(capsys, "bijection", "-h")
+    assert code == 0
+    assert " ".join(out.split("\n\n")[0].split()) == (
+        "usage: shapewilf bijection [-h] (--filling FILLING | --verify N_MAX) [--trace] EXPR"
+    )
+    assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--filling", "--verify", "--trace"}
+
+
 def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
     for argv in [
         ("count-av", "--set", "{21,12,}", "--n", "3"),
@@ -90,19 +100,14 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         ("oeis", "compare", "--set", "12", "--n", "-1"),
         ("check", "wilf", "--left", "{123}", "--right", "{132}", "--n", "-3"),
         ("check", "shape-wilf", "--left", "{12}", "--right", "{21}", "--n", "-3"),
-        ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
-         "--verify", "-2"),
+        ("bijection", "fan(3,1,3)", "--verify", "-2"),
         ("boards", "--n", "-1"),
         ("suite", "negative-controls", "--n-shape", "0"),
         ("suite", "main-conjecture", "--n-wilf", "0"),
         ("suite", "main-conjecture", "--n-bijection", "-1"),
         ("suite", "conjecture-13452", "--n-oeis", "0"),
         ("suite", "all", "--n-oeis", "2"),
-        ("bijection", "fan-bottom-last", "--k", "0", "--verify", "2"),
-        ("bijection", "fan", "--k", "-3", "--source-apex", "1", "--target-apex", "3",
-         "--verify", "2"),
-        ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
-         "--filling", "[3,3,3]/12"),
+        ("bijection", "fan(3,1,3)", "--filling", "[3,3,3]/12"),
         # argparse's own usage errors; it reads "-inf" as a flag
         ("--time-budget", "-inf", "count-av", "--set", "{123,132}"),
         ("count-av", "--n", "3"),
@@ -113,14 +118,35 @@ def test_malformed_sets_and_negative_n_exit_2_with_one_error_line(capsys):
         assert code == 2, argv
         assert out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
-        k = argv[argv.index("--k") + 1] if "--k" in argv else "1"
-        if int(k) < 1:  # the error names the bad size, not the apex
-            assert err == f"error: POP size must be >= 1, got {k}\n", argv
         if "--filling" in argv:
             assert err == "error: 2 rows for 3 columns\n", argv
 
 
+def test_a_fan_of_size_0_is_named_as_the_bad_size(capsys):
+    # the error names the bad size, not the apex; an int is a run of
+    # digits, so a negative size is a parse error
+    for expr in ("fan(0,1,3)", "fan-bottom-last(0)"):
+        code, out, err = run(capsys, "bijection", expr, "--verify", "2")
+        assert (code, out, err) == (2, "", "error: POP size must be >= 1, got 0\n"), expr
+    code, out, err = run(capsys, "bijection", "fan(-3,1,3)", "--verify", "2")
+    assert (code, out, err) == (
+        2, "", "error: expected an integer at position 4 in 'fan(-3,1,3)'\n"
+    )
+
+
 N = object()  # stands for a size drawn by the property below
+TEXT = object()  # stands for a text drawn by the property below
+
+
+def _drawn(command, draw):
+    """The command with each stand-in drawn; a tuple of parts, stand-ins
+    among them, is drawn part by part and joined into one argument."""
+    def token(part):
+        return draw() if part is N or part is TEXT else part
+
+    return ["".join(map(token, tok)) if isinstance(tok, tuple) else token(tok)
+            for tok in command]
+
 
 SIZE_COMMANDS = [
     ("count-av", "--set", "{123}", "--n", N),
@@ -132,8 +158,8 @@ SIZE_COMMANDS = [
     ("suite", "conjecture-13452", "--n-oeis", N),
     ("suite", "main-conjecture", "--n-wilf", N, "--n-shape", N, "--n-bijection", N,
      "--n-oeis", N),
-    ("bijection", "fan", "--k", N, "--source-apex", N, "--target-apex", N, "--verify", N),
-    ("bijection", "fan-bottom-last", "--k", N, "--verify", N),
+    ("bijection", ("fan(", N, ",", N, ",", N, ")"), "--verify", N),
+    ("bijection", ("fan-bottom-last(", N, ")"), "--verify", N),
     ("boards", "--n", N),
 ]
 
@@ -145,7 +171,7 @@ SIZES = (st.integers(min_value=1, max_value=4) | st.integers(min_value=-3, max_v
 @given(st.sampled_from(SIZE_COMMANDS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_every_size_option_exits_0_1_or_2(command, data):
-    argv = [str(data.draw(SIZES)) if tok is N else tok for tok in command]
+    argv = _drawn(command, lambda: str(data.draw(SIZES)))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["--offline", *argv])
@@ -195,8 +221,7 @@ def test_time_budget_extends_counts_up_to_the_cap(capsys):
 
 def test_bijection_single_shot(capsys):
     code, out, _ = run(
-        capsys, "bijection", "fan", "--k", "3", "--source-apex", "1",
-        "--target-apex", "3", "--filling", "[3,3,3]/231",
+        capsys, "bijection", "fan(3,1,3)", "--filling", "[3,3,3]/231",
     )
     assert code == 0
     assert out.strip() == "[3,3,3]/321"
@@ -204,8 +229,7 @@ def test_bijection_single_shot(capsys):
 
 def test_bijection_trace(capsys):
     code, out, _ = run(
-        capsys, "bijection", "fan", "--k", "3", "--source-apex", "1",
-        "--target-apex", "3", "--filling", "[3,3,3]/231", "--trace",
+        capsys, "bijection", "fan(3,1,3)", "--filling", "[3,3,3]/231", "--trace",
     )
     assert code == 0
     lines = out.splitlines()
@@ -215,7 +239,7 @@ def test_bijection_trace(capsys):
 
 def test_bijection_trace_of_every_bijection_is_pinned(capsys):
     cases = [
-        (("fan-bottom-last", "--k", "3", "--filling", "[4,4,4,3]/3412"), [
+        (("fan-bottom-last(3)", "--filling", "[4,4,4,3]/3412"), [
             "# peel level 1: ell=3 pos=2 slots=[1, 2] rank=1",
             "# peel level 2: ell=3 pos=1 slots=[1, 2] rank=0",
             "# peel level 3: ell=2 pos=2 slots=[1, 2] rank=1",
@@ -226,8 +250,7 @@ def test_bijection_trace_of_every_bijection_is_pinned(capsys):
             "# rebuild level 4: ell=3 slots=[2, 3] rank=1 pos=3",
             "[4,4,4,3]/1423",
         ]),
-        (("wedge-valley", "--source", "{132,213}", "--target", "{213,312}",
-          "--filling", "[4,4,4,4]/3421"), [
+        (("wedge-valley({132,213},{213,312})", "--filling", "[4,4,4,4]/3421"), [
             "# peel level 1: ell=4 pos=2 slots=[1, 2] rank=1",
             "# peel level 2: ell=3 pos=1 slots=[1, 2] rank=0",
             "# peel level 3: ell=2 pos=1 slots=[1, 2] rank=0",
@@ -242,15 +265,13 @@ def test_bijection_trace_of_every_bijection_is_pinned(capsys):
             "# rebuild level 4: ell=4 slots=[1, 2] rank=1 pos=2",
             "[4,4,4,4]/3421",
         ]),
-        (("transfer", "--source", "{123,213}", "--target", "{312,321}",
-          "--tail", "{12}", "--filling", "[5,5,5,5,5]/13245"), [
+        (("transfer(fan(3,3,1),{12})", "--filling", "[5,5,5,5,5]/13245"), [
             "# transfer: 3 red columns -> inner board [3,3,3]/132; blue rows [4, 5]",
             "[5,5,5,5,5]/12345",
         ]),
         # the red region (column 1, row 1) holds no 1: the filling is its
         # own image, and the trace line is still written
-        (("transfer", "--source", "{123,213}", "--target", "{312,321}",
-          "--tail", "{12}", "--filling", "[4,4,4,4]/4231"), [
+        (("transfer(fan(3,3,1),{12})", "--filling", "[4,4,4,4]/4231"), [
             "# transfer: 0 red columns -> inner board []/; blue rows [1, 2, 3, 4]",
             "[4,4,4,4]/4231",
         ]),
@@ -263,8 +284,7 @@ def test_bijection_trace_of_every_bijection_is_pinned(capsys):
 
 def test_bijection_precondition_exit_1(capsys):
     code, _, err = run(
-        capsys, "bijection", "fan", "--k", "3", "--source-apex", "1",
-        "--target-apex", "3", "--filling", "[3,3,3]/312",
+        capsys, "bijection", "fan(3,1,3)", "--filling", "[3,3,3]/312",
     )
     assert code == 1
     assert err == "bijection failed: input filling contains a pattern of {312,321}\n"
@@ -272,8 +292,7 @@ def test_bijection_precondition_exit_1(capsys):
 
 def test_bijection_verify(capsys):
     code, out, _ = run(
-        capsys, "bijection", "wedge-valley", "--source", "{132,213}",
-        "--target", "{213,312}", "--verify", "4",
+        capsys, "bijection", "wedge-valley({132,213},{213,312})", "--verify", "4",
     )
     assert code == 0
     assert "OK" in out
@@ -281,26 +300,54 @@ def test_bijection_verify(capsys):
 
 def test_bijection_transfer_identity(capsys):
     code, out, _ = run(
-        capsys, "bijection", "transfer", "--source", "{123,213}",
-        "--target", "{312,321}", "--tail", "{12}",
-        "--filling", "[4,4,4,4]/4321",
+        capsys, "bijection", "transfer(fan(3,3,1),{12})", "--filling", "[4,4,4,4]/4321",
     )
     assert code == 0
     assert out.strip() == "[4,4,4,4]/4321"
 
 
-def test_bijection_transfer_rejects_sets_that_are_not_matching_fans(capsys):
+def test_bijection_transfer_runs_any_inner_map(capsys):
+    # step 2 of the proof chain, and a transfer whose inner map is no fan
+    for expr, line in [
+        ("transfer(fan(2,2,1),{231,321})",
+         "transfer[fan k=2 apex 2->1] (+) {231,321}: OK on 64 boards / 1067 fillings (n <= 5)"),
+        ("transfer(wedge-valley({132,213},{213,312}),{12})",
+         "transfer[wedge-valley {132,213}->{213,312}] (+) {12}: "
+         "OK on 64 boards / 1067 fillings (n <= 5)"),
+    ]:
+        assert run(capsys, "bijection", expr, "--verify", "5") == (0, line + "\n", ""), expr
+
+
+def test_bijection_malformed_expressions_exit_2_with_one_error_line(capsys):
     cases = [
-        (("--source", "{12,21}", "--target", "{312,321}"),
-         "error: {12,21} is not a fan pattern set\n"),
-        (("--source", "{123,213}", "--target", "{21}"),
-         "error: transfer source and target fan sets differ in size\n"),
+        ("transfer(fan(3,3,1))", "expected ',' at position 19 in 'transfer(fan(3,3,1))'"),
+        ("transfer({123,213},{12})",
+         "expected one of fan, fan-bottom-last, wedge-valley, transfer "
+         "at position 9 in 'transfer({123,213},{12})'"),
+        ("fan(3,1,3", "expected ')' at position 9 in 'fan(3,1,3'"),
+        ("fan(3,1,3)+12", "trailing input at position 10 in 'fan(3,1,3)+12'"),
+        ("fan(3,1,x)", "expected an integer at position 8 in 'fan(3,1,x)'"),
+        ("fan(3,4,1)", "apex 4 out of range 1..3"),
+        ("wedge-valley({12,21},{213,312})",
+         "no top-row slot rule for {12,21}; known pairs: {123,213}, {132,213}, "
+         "{132,231}, {213,312}, {231,312}, {312,321}"),
+        ("transfer(fan(3,3,1),{1x})", "expected '}' at position 22 in 'transfer(fan(3,3,1),{1x})'"),
     ]
-    for argv, expected in cases:
-        code, out, err = run(
-            capsys, "bijection", "transfer", *argv, "--tail", "{12}", "--verify", "2"
-        )
-        assert (code, out, err) == (2, "", expected), argv
+    for expr, message in cases:
+        code, out, err = run(capsys, "bijection", expr, "--verify", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), expr
+
+
+def test_bijection_takes_exactly_one_of_filling_and_verify(capsys):
+    for argv, message in [
+        (("--filling", "[3,3,3]/231", "--verify", "3"),
+         "argument --verify: not allowed with argument --filling"),
+        ((), "one of the arguments --filling --verify is required"),
+        # the retired per-map flags
+        (("--k", "3", "--verify", "3"), "unrecognized arguments: --k 3"),
+    ]:
+        code, out, err = run(capsys, "bijection", "fan(3,1,3)", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_boards_listing(capsys):
@@ -420,23 +467,22 @@ def test_suite_labels(capsys):
         assert json.loads(line)["label"] == "EVIDENCE"
 
 
-# the last option of each command takes a text drawn by the property below
+# each command holds one text drawn by the property below, in an option or
+# as a part of an expression
 TEXT_COMMANDS = [
-    ("count-av", "--n", "4", "--set="),
-    ("oeis", "compare", "--n", "4", "--set="),
-    ("check", "wilf", "--right={12}", "--n", "4", "--left="),
-    ("check", "shape-wilf", "--left={21}", "--n", "3", "--right="),
-    ("fillings", "--board="),
-    ("fillings", "--count-only", "--board="),
-    ("fillings", "--board=[3,3,2]", "--avoid="),
-    ("bijection", "fan", "--k", "3", "--source-apex", "1", "--target-apex", "3",
-     "--filling="),
-    ("bijection", "wedge-valley", "--target={213,312}", "--filling=[3,3,3]/321",
-     "--source="),
-    ("bijection", "transfer", "--source={123,213}", "--target={312,321}",
-     "--filling=[4,4,4,4]/4321", "--tail="),
-    ("bijection", "transfer", "--source={123,213}", "--target={312,321}",
-     "--tail={12}", "--filling="),
+    ("count-av", "--n", "4", ("--set=", TEXT)),
+    ("oeis", "compare", "--n", "4", ("--set=", TEXT)),
+    ("check", "wilf", "--right={12}", "--n", "4", ("--left=", TEXT)),
+    ("check", "shape-wilf", "--left={21}", "--n", "3", ("--right=", TEXT)),
+    ("fillings", ("--board=", TEXT)),
+    ("fillings", "--count-only", ("--board=", TEXT)),
+    ("fillings", "--board=[3,3,2]", ("--avoid=", TEXT)),
+    ("bijection", "fan(3,1,3)", ("--filling=", TEXT)),
+    ("bijection", "--filling=[3,3,3]/321", ("wedge-valley(", TEXT, ",{213,312})")),
+    ("bijection", "--filling=[4,4,4,4]/4321", ("transfer(fan(3,3,1),", TEXT, ")")),
+    ("bijection", "transfer(fan(3,3,1),{12})", ("--filling=", TEXT)),
+    ("bijection", "--verify=2", ("transfer(", TEXT, ",{12})")),
+    ("bijection", "--verify=2", (TEXT,)),
 ]
 
 # near-valid notation, short texts from the notations' own alphabet, and
@@ -457,7 +503,7 @@ TEXTS = (SET_TEXTS | BOARD_TEXTS | FILLING_TEXTS
 @settings(max_examples=200, deadline=None)
 def test_every_text_option_exits_0_1_or_2(command, text):
     # "--opt=text" keeps argparse from reading a text such as "-1" as a flag
-    argv = [*command[:-1], command[-1] + text]
+    argv = _drawn(command, lambda: text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["--offline", *argv])

@@ -15,7 +15,7 @@ from shapewilf.boards import (
     fillings_by_board,
     square_board,
 )
-from shapewilf import equivalence
+from shapewilf import bijections, equivalence
 from shapewilf.equivalence import (
     BUDGET_CAP,
     ExpressionError,
@@ -24,6 +24,7 @@ from shapewilf.equivalence import (
     count_avoiders,
     count_avoiders_naive,
     counts_within_budget,
+    evaluate_oracle_expression,
     evaluate_set_expression,
     find_shape_wilf_divergence,
     shape_wilf_table,
@@ -267,6 +268,29 @@ def test_malformed_expressions():
     for text in ["", "{12,21", "12+", "12^x", "(12", "12 21", "^rc"]:
         with pytest.raises(ExpressionError):
             evaluate_set_expression(text)
+    for text in ["", "fan", "fan(3,1)", "fan(3,1,3", "fan(3,1,3) 1", "fan(3,-1,3)",
+                 "fan(3,1,{3})", "transfer(fan(3,3,1))", "transfer({12},{12})",
+                 "wedge-valley({132,213})", "Fan(3,1,3)", "fan (3,,1,3)", "12"]:
+        with pytest.raises(ExpressionError):
+            evaluate_oracle_expression(text)
+
+
+def test_oracle_expressions_build_through_the_four_builders():
+    fan = bijections.fan_oracle(3, 3, 1)
+    valley = bijections.wedge_valley_oracle(
+        parse_pattern_set("{132,213}"), parse_pattern_set("{213,312}")
+    )
+    for text, oracle in [
+        ("fan(3,3,1)", fan),
+        (" fan-bottom-last ( 4 ) ", bijections.fan_bottom_last_oracle(4)),
+        ("wedge-valley({231,312}^r,{213,312})", valley),
+        ("transfer(fan(3,3,1),{12})", bijections.transfer_oracle(fan, {(1, 2)})),
+        ("transfer(transfer(wedge-valley({132,213},{213,312}),12),1+1)",
+         bijections.transfer_oracle(bijections.transfer_oracle(valley, {(1, 2)}), {(1, 2)})),
+    ]:
+        built = evaluate_oracle_expression(text)
+        assert (built.name, built.source, built.target) == (
+            oracle.name, oracle.source, oracle.target), text
 
 
 def test_shape_wilf_full_table_no_fail_fast():
