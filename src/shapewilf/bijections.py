@@ -13,7 +13,9 @@ level whose top-row 1 is not a valid slot.  The maps:
   (all patterns whose maximum sits at a fixed position).  The filling is
   peeled one top row at a time together with the column of its 1; the 1's
   column is one of min(k-1, l) valid slots, and slots are matched by
-  left-to-right rank on the two sides.
+  left-to-right rank on the two sides.  The rows left below a peeled top
+  row h are 1..h-1, so the recursion reads the input's rows as they are
+  and rebuilds the image in one list, on the input's board.
 * ``fan_to_bottom_last`` -- from the fan with apex at the last position to
   the set of patterns whose minimum sits at the last position; the fan map
   from apex k to apex 1 on the transposed filling, transposed back.  So
@@ -27,11 +29,14 @@ level whose top-row 1 is not a valid slot.  The maps:
   with an in-board occurrence of some pattern of T strictly above and to
   the right) and a "blue" rest, mapping the squashed red subfilling with
   the inner bijection, and reinserting the blue rows and columns.  The red
-  region is read off the in-board tail occurrences; when it holds no 1 the
-  filling is its own image and the inner map is skipped.  Two bounded memo
-  tables (4096 entries each) share work across fillings: the tail
-  occurrences of each row tuple, and the inner image of each squashed red
-  subfilling, which assumes the inner map is a pure function of its filling.
+  columns are read off the in-board tail occurrences in one pass from the
+  right; when the red region holds no 1 the filling is its own image and
+  the inner map is skipped, and when the inner map fixes the squashed
+  subfilling the input is returned as it is.  Two bounded memo tables
+  share work across fillings: the tail occurrences of each row tuple
+  (8192 entries), and the inner image of each squashed red subfilling
+  (4096 entries), which assumes the inner map is a pure function of its
+  filling.
 
 ``verify_bijection`` checks a map exhaustively on every board up to a
 size.  Its avoidance checks use the corner profile of each distinct row
@@ -40,10 +45,10 @@ walker once per filling.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .perms import Perm, PatternSet, format_pattern_set, occurrences, set_direct_sum
 from .boards import (
@@ -87,72 +92,36 @@ class BijectionOracle:
 
 
 Trace = Optional[list]
-# slot rule: (top row length, filling below the top row, trace) -> valid
-# 1-based insertion columns in increasing order
-SlotRule = Callable[[int, Filling, Trace], list[int]]
-
-
-# ---------------------------------------------------------------------------
-# peel / rebuild moves
-
-def _peel_top(f: Filling) -> tuple[int, int, Filling]:
-    """Remove the top row and the column of its 1.
-
-    Returns (top row length, 1-based column of the top-row 1, smaller filling).
-    The smaller board does not depend on which full-height column held the 1.
-    """
-    board, rows = f
-    height = board[0]
-    ell = 1
-    while ell < len(board) and board[ell] == height:
-        ell += 1
-    col = rows.index(height) + 1  # the unique 1 in the top row
-    b = list(board)
-    del b[col - 1]
-    for i in range(ell - 1):
-        b[i] -= 1
-    r = list(rows)
-    del r[col - 1]
-    return ell, col, Filling(tuple(b), tuple(r))
-
-
-def _unpeel_top(below: Filling, ell: int, col: int) -> Filling:
-    """Re-add a top row of length ell and a new full-height column at ``col``
-    carrying the 1 in its top cell."""
-    height = (below.board[0] if below.board else 0) + 1
-    if not 1 <= col <= ell or ell > len(below.board) + 1:
-        raise BijectionError(f"bad top-row reinsertion ell={ell} col={col}")
-    b = list(below.board)
-    for i in range(ell - 1):
-        if b[i] != height - 1:
-            raise BijectionError("top-row reinsertion does not fit the board")
-        b[i] = height
-    b.insert(col - 1, height)
-    r = list(below.rows)
-    r.insert(col - 1, height)
-    return Filling(tuple(b), tuple(r))
+# slot rule: (top row length, rows of the filling below the top row, trace)
+# -> valid 1-based insertion columns in increasing order
+SlotRule = Callable[[int, list[int], Trace], list[int]]
 
 
 # ---------------------------------------------------------------------------
 # the rank-matched top-row recursion
 
-class SlotRecord(NamedTuple):
-    """One peel level: length of the removed top row, and the rank of the
-    removed 1's column among the valid insertion slots."""
-
-    ell: int
-    rank: int
-
-
 def _run_rank_matched(
     f: Filling, slots_src: SlotRule, slots_tgt: SlotRule, trace: Trace
 ) -> Filling:
-    records: list[SlotRecord] = []
-    cur = f
-    level = 0
-    while cur.board:
-        level += 1
-        ell, pos, below = _peel_top(cur)
+    # Each peel level removes the top row and the column of its 1, so the
+    # filling left below row h holds exactly rows 1..h-1 and every level
+    # reads the input's absolute rows.  Row h's length ell is the count of
+    # remaining columns at least h tall: the peeled columns were all taller.
+    # The smaller board does not depend on which full-height column held
+    # the 1, so the rebuild inserts row h at its target slot into a plain
+    # list, and the image has the input's board.
+    board, rows = f
+    m = len(board)
+    below = list(rows)
+    # per peel level: the top row's length and its 1's rank among the slots
+    records: list[tuple[int, int]] = []
+    tall = 0
+    for level, h in enumerate(range(m, 0, -1), 1):
+        while tall < m and board[tall] >= h:
+            tall += 1
+        ell = tall - level + 1
+        pos = below.index(h) + 1
+        del below[pos - 1]
         slots = slots_src(ell, below, trace)
         if pos not in slots:
             raise BijectionError(
@@ -162,19 +131,20 @@ def _run_rank_matched(
         rank = slots.index(pos)
         if trace is not None:
             trace.append(f"peel level {level}: ell={ell} pos={pos} slots={slots} rank={rank}")
-        records.append(SlotRecord(ell, rank))
-        cur = below
-    out = _EMPTY
-    for level, record in enumerate(reversed(records), 1):
-        slots = slots_tgt(record.ell, out, trace)
-        pos = slots[record.rank]
+        records.append((ell, rank))
+    out: list[int] = []
+    for level, (ell, rank) in enumerate(reversed(records), 1):
+        slots = slots_tgt(ell, out, trace)
+        pos = slots[rank]
         if trace is not None:
             trace.append(
-                f"rebuild level {level}: ell={record.ell} slots={slots} "
-                f"rank={record.rank} pos={pos}"
+                f"rebuild level {level}: ell={ell} slots={slots} "
+                f"rank={rank} pos={pos}"
             )
-        out = _unpeel_top(out, record.ell, pos)
-    return out
+        if not 1 <= pos <= ell:
+            raise BijectionError(f"bad top-row reinsertion ell={ell} col={pos}")
+        out.insert(pos - 1, level)
+    return Filling(board, tuple(out))
 
 
 def _fan_slots(ell: int, k: int, apex: int) -> list[int]:
@@ -187,16 +157,16 @@ def _fan_slots(ell: int, k: int, apex: int) -> list[int]:
 
 
 def _fan_rule(k: int, apex: int) -> SlotRule:
-    def rule(ell: int, below: Filling, trace: Trace) -> list[int]:
+    def rule(ell: int, below: list[int], trace: Trace) -> list[int]:
         return _fan_slots(ell, k, apex)
 
     return rule
 
 
-def _highest_below(ell: int, below: Filling) -> int:
+def _highest_below(ell: int, below: list[int]) -> int:
     """1-based index, among the ell-1 full-height columns below the new top
     row, of the column holding the highest 1."""
-    prefix = below.rows[: ell - 1]
+    prefix = below[: ell - 1]
     return 1 + prefix.index(max(prefix))
 
 
@@ -209,7 +179,7 @@ def _flag_single_slot(trace: Trace) -> list[int]:
     return [1]
 
 
-def _valley_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
+def _valley_rule(ell: int, below: list[int], trace: Trace) -> list[int]:
     # {213,312}: safe slots flank the column of the highest 1
     if ell == 1:
         return _flag_single_slot(trace)
@@ -217,7 +187,7 @@ def _valley_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
     return [c, c + 1]
 
 
-def _low_first_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
+def _low_first_rule(ell: int, below: list[int], trace: Trace) -> list[int]:
     # {132,213}: leftmost slot, or just right of the highest 1
     if ell == 1:
         return _flag_single_slot(trace)
@@ -225,7 +195,7 @@ def _low_first_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
     return [1, c + 1]
 
 
-def _high_last_rule(ell: int, below: Filling, trace: Trace) -> list[int]:
+def _high_last_rule(ell: int, below: list[int], trace: Trace) -> list[int]:
     # {231,312}: just left of the highest 1, or the rightmost slot
     if ell == 1:
         return _flag_single_slot(trace)
@@ -325,10 +295,14 @@ def direct_sum_transfer(
     walker lists the tail occurrences once per row tuple (a bounded memo
     table) and the corner test keeps the in-board ones on f's board; a
     column's red cells are the rows below the highest lowest row of one
-    starting to its right, up to the column's height.  Rows and columns of
-    blue 1s are deleted, the red remainder is squashed bottom-left into a
-    smaller board, mapped with the inner bijection, and the blue rows and
-    columns are reinserted unchanged.  The inner image is memoized per
+    starting to its right, up to the column's height.  One pass from the
+    right reads which columns are red (those whose 1 is a red cell) and
+    their red tops.  Rows and columns of blue 1s are deleted; since the
+    rows are a permutation, the rows left are those of the red 1s.  The red
+    remainder is squashed bottom-left into a smaller board, mapped with the
+    inner bijection, and the blue rows and columns are reinserted
+    unchanged; when the inner map fixes the squashed subfilling, f is its
+    own image and is returned as it is.  The inner image is memoized per
     ``inner.apply`` and squashed subfilling in a second bounded table, so
     the inner map must be a pure function of its filling; one that raises
     caches nothing, and it runs with no trace.  The squashed board is
@@ -358,26 +332,32 @@ def direct_sum_transfer(
         # in-board iff its highest row is at most its last column's height
         if high <= board[last] and low > reach[start]:
             reach[start] = low
-    red_top = [0] * m
+    # one pass from the right keeps that suffix maximum in best: column c
+    # is red iff its 1 lies below best, and its red top is best - 1 capped
+    # by its height
+    red_cols: list[int] = []
+    red_tops: list[int] = []
     best = reach[m]
     for c in range(m - 1, -1, -1):
-        red_top[c] = min(board[c], best - 1)
-        best = max(best, reach[c])
-
-    surv_cols = [c for c in range(1, m + 1) if rows[c - 1] <= red_top[c - 1]]
-    if not surv_cols:
+        if rows[c] < best:
+            red_cols.append(c)
+            red_tops.append(min(board[c], best - 1))
+        if reach[c] > best:
+            best = reach[c]
+    if not red_cols:
         # no red 1: the empty board's one filling is its own image under
         # any shape-preserving inner map, so f is too
-        _trace_transfer(trace, _EMPTY, list(range(1, m + 1)))
+        _trace_transfer(trace, _EMPTY, m, [])
         return f
-    surv_col_set = set(surv_cols)
-    blue_rows = {rows[c - 1] for c in range(1, m + 1) if c not in surv_col_set}
-    surv_rows = [r for r in range(1, board[0] + 1) if r not in blue_rows]
-    row_rank = {r: t + 1 for t, r in enumerate(surv_rows)}
-
-    sub_board = tuple(bisect_right(surv_rows, red_top[c - 1]) for c in surv_cols)
-    sub = Filling(sub_board, tuple(row_rank[rows[c - 1]] for c in surv_cols))
-    _trace_transfer(trace, sub, sorted(blue_rows))
+    red_cols.reverse()
+    red_tops.reverse()
+    # the rows are a permutation, so the surviving rows are the red 1s' rows
+    red_rows = sorted(rows[c] for c in red_cols)
+    sub = Filling(
+        tuple(bisect_right(red_rows, top) for top in red_tops),
+        tuple(bisect_left(red_rows, rows[c]) + 1 for c in red_cols),
+    )
+    _trace_transfer(trace, sub, m, red_rows)
 
     mapped = _inner_image(inner.apply, *sub)
     if mapped.board != sub.board:
@@ -385,14 +365,15 @@ def direct_sum_transfer(
             f"inner oracle {inner.name!r} changed the board shape: "
             f"{mapped.board} != {sub.board}"
         )
-
+    if mapped.rows == sub.rows:
+        return f
     out_rows = list(rows)
-    for t, c in enumerate(surv_cols):
-        out_rows[c - 1] = surv_rows[mapped.rows[t] - 1]
+    for c, r in zip(red_cols, mapped.rows):
+        out_rows[c] = red_rows[r - 1]
     return Filling(board, tuple(out_rows))
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 13)
 def _tail_corners(rows: Perm, tail: PatternSet) -> tuple[tuple[int, int, int, int], ...]:
     """Each occurrence in rows of a nonempty pattern of the tail as 0-based
     (first column, last column, highest row, lowest row); an occurrence's
@@ -416,8 +397,9 @@ def _inner_image(apply: Callable[..., Filling], board: Board, rows: Perm) -> Fil
     return apply(sub)
 
 
-def _trace_transfer(trace: Trace, sub: Filling, blue_rows: list[int]) -> None:
+def _trace_transfer(trace: Trace, sub: Filling, m: int, red_rows: list[int]) -> None:
     if trace is not None:
+        blue_rows = [r for r in range(1, m + 1) if r not in red_rows]
         trace.append(
             f"transfer: {len(sub.rows)} red columns -> inner board "
             f"{format_filling(sub)}; blue rows {blue_rows}"

@@ -269,11 +269,41 @@ def test_transfer_images_and_traces_are_pinned_up_to_n6():
     )
 
 
-def red_region_trace(f, tail):
-    """The transfer's trace line from the definition of its red region:
-    cell (c, r) is red iff some tail pattern occurs among the 1s right of
-    column c and above row r with its complete submatrix grid in the
-    board, found by brute force over index subsets."""
+def test_rank_matched_images_and_traces_are_pinned_up_to_n5():
+    # every source filling with n <= 5 of four top-row maps (the fan map
+    # between apexes 3 and 1 both ways, fan-bottom-last and wedge-valley),
+    # with their peel and rebuild traces, as the recursion gave them when
+    # it still built a Filling at every level
+    digest = hashlib.sha256()
+    count = 0
+    oracles = (
+        fan_oracle(3, 3, 1),
+        fan_oracle(3, 1, 3),
+        fan_bottom_last_oracle(3),
+        wedge_valley_oracle(parse_pattern_set("{132,213}"), VALLEY),
+    )
+    for oracle in oracles:
+        for n in range(1, 6):
+            for board, listed in fillings_by_board(n, oracle.source):
+                for rows in listed:
+                    f = Filling(board, rows)
+                    trace = []
+                    g = oracle.apply(f, trace)
+                    count += 1
+                    digest.update(f"{format_filling(f)} {format_filling(g)} {trace}\n".encode())
+    assert count == 1860
+    assert digest.hexdigest() == (
+        "7d0dfb0bee0910cb8d5d80732cd6e5d8ff71845818eee19e795cc9ceaca2a82e"
+    )
+
+
+def red_region_map(f, tail, inner):
+    """The transfer's trace line and image from the definition of its red
+    region: cell (c, r) is red iff some tail pattern occurs among the 1s
+    right of column c and above row r with its complete submatrix grid in
+    the board, found by brute force over index subsets.  The squashed red
+    subfilling is mapped by the inner oracle, and the blue rows and columns
+    are put back around it."""
     board, rows = f
     m = len(rows)
     # each in-board tail occurrence as (first column, lowest row); the
@@ -299,26 +329,33 @@ def red_region_trace(f, tail):
         tuple(sum(1 for r in kept_rows if red(c, r)) for c in red_cols),
         tuple(kept_rows.index(rows[c - 1]) + 1 for c in red_cols),
     )
-    return (
+    image = list(rows)
+    for c, r in zip(red_cols, inner(sub).rows):
+        image[c - 1] = kept_rows[r - 1]
+    line = (
         f"transfer: {len(red_cols)} red columns -> inner board "
         f"{format_filling(sub)}; blue rows {blue_rows}"
     )
+    return line, Filling(board, tuple(image))
 
 
 def test_transfer_red_region_matches_its_definition():
-    # independent evidence for the map's red region, unlike the pinned
-    # hash above, which the engine itself produced
+    # independent evidence for the map's red region and its image, unlike
+    # the pinned hash above, which the engine itself produced
     count = 0
     tails = ({(1, 2)}, {(2, 1)}, {(1, 3, 2)}, {(2, 3, 1)}, {()}, {(1, 2), (2, 1)})
+    inner = fan_oracle(3, 3, 1)
     for tail in tails:
-        oracle = transfer_oracle(fan_oracle(3, 3, 1), tail)
+        oracle = transfer_oracle(inner, tail)
         for n in range(1, 6):
             for board, listed in fillings_by_board(n, oracle.source):
                 for rows in listed:
                     f = Filling(board, rows)
                     trace = []
-                    oracle.apply(f, trace)
-                    assert trace == [red_region_trace(f, tail)], (f, tail)
+                    g = oracle.apply(f, trace)
+                    line, image = red_region_map(f, tail, inner)
+                    assert trace == [line], (f, tail)
+                    assert g == image, (f, tail)
                     count += 1
     assert count == 5802
 
