@@ -31,7 +31,7 @@ from operator import le
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
-    Perm, PrefixTable, anchored_intervals, format_perm, inverse, make_perm,
+    Kernel, Perm, anchored_kernel, format_perm, inverse, make_perm,
     occurrences, parse_perm, prefix_table,
 )
 
@@ -278,27 +278,27 @@ def filling_avoids_all(f: Filling, patterns: Iterable[Perm]) -> bool:
     return not profile_contains(corner_profile(f.rows, patterns), f.board)
 
 
-def child_blocks(table: PrefixTable, blocks: list[int], rows: Sequence[int]) -> list[int]:
+def child_blocks(kernel: Kernel, blocks: list[int], rows: Sequence[int]) -> list[int]:
     """
     The frontier of a partial filling in the board walks: entry r is the
-    least highest row of an occurrence of a prefix of the table whose
-    open interval (A, B) holds r, and the top row n + 1 (the last index)
-    when there is none.  Rows never shift, so a new column's occurrences
-    only lower the parent's entries; ``blocks`` is the parent's frontier
-    and ``rows`` the partial filling with the new column last.  The root
-    is ``child_blocks(table, [n + 1] * (n + 2), ())``.
+    least highest row of an occurrence of a prefix of the kernel's table
+    whose open interval (A, B) holds r, and the top row n + 1 (the last
+    index) when there is none.  Rows never shift, so a new column's
+    occurrences only lower the parent's entries; ``blocks`` is the parent's
+    frontier and ``rows`` the partial filling with the new column last.  The root
+    is ``child_blocks(kernel, [n + 1] * (n + 2), ())``.
 
     A pattern then occurs in-board with its last entry in a next column
     holding row r exactly when that column's height is at least
     max(blocks[r], r), the highest row of the cheapest occurrence.
 
-    >>> table = prefix_table({(1, 2)})
-    >>> child_blocks(table, child_blocks(table, [4] * 5, ()), (2,))
+    >>> kernel = anchored_kernel(prefix_table({(1, 2)}))
+    >>> child_blocks(kernel, child_blocks(kernel, [4] * 5, ()), (2,))
     [4, 4, 4, 2, 4]
     """
     top = len(blocks) - 1
     blocks = blocks[:]
-    for a, b, high in anchored_intervals(table, rows, top):
+    for a, b, high in kernel(rows, top):
         for r in range(a + 1, b):
             if high < blocks[r]:
                 blocks[r] = high
@@ -314,7 +314,7 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
     if n == 0:
         yield (), [] if () in avoid else [()]  # the empty board's one filling
         return
-    table = prefix_table(avoid)
+    kernel = anchored_kernel(prefix_table(avoid))
 
     def descend(prefix: Board, cap: int, partials: list):
         c = len(prefix)
@@ -330,7 +330,7 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
                 top = min(hi, max(blocks[r], r) - 1)
                 if floor <= top:
                     grown = rows + (r,)
-                    child = (grown, left, child_blocks(table, blocks, grown)) if left else grown
+                    child = (grown, left, child_blocks(kernel, blocks, grown)) if left else grown
                     for h in range(floor, top + 1):
                         below[h].append(child)
         for h in range(hi, lo - 1, -1):
@@ -339,7 +339,7 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
             else:
                 yield from descend(prefix + (h,), h, below[h])
 
-    yield from descend((), n, [((), (1 << n + 1) - 2, child_blocks(table, [n + 1] * (n + 2), ()))])
+    yield from descend((), n, [((), (1 << n + 1) - 2, child_blocks(kernel, [n + 1] * (n + 2), ()))])
 
 
 def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:

@@ -14,11 +14,11 @@ it undoes the append.  So only occurrences ending at the new last entry
 need testing.  Each node carries them as a frontier: the bitmask of the
 appended values r that would complete a pattern (``child_forbidden``).
 A child inherits its parent's mask, shifted with its values, and adds
-the intervals that the anchored prefix search
-``perms.anchored_intervals`` reports for the prefix occurrences ending at
-its own last entry.  The children are the clear bits, so the last level
-is counted from its parents without being visited, and memory is O(n^2)
-whatever n is.  The board walk of ``boards`` carries the same frontier
+the intervals that the anchored prefix search reports for the prefix
+occurrences ending at its own last entry; the walk fetches the set's
+compiled search, ``perms.anchored_kernel``, once.  The children are the
+clear bits, so the last level is counted from its parents without being
+visited, and memory is O(n^2) whatever n is.  The board walk of ``boards`` carries the same frontier
 over absolute rows.  All counts are exact Python integers, so there is
 no overflow to detect.
 
@@ -54,9 +54,9 @@ from typing import Callable, Iterable, Optional, TypeVar
 from .perms import (
     PatternSet,
     Perm,
-    PrefixTable,
+    Kernel,
     all_perms,
-    anchored_intervals,
+    anchored_kernel,
     avoids_all,
     format_pattern_set,
     parse_perm,
@@ -111,28 +111,28 @@ class EquivalenceReport:
 BUDGET_CAP = 14
 
 
-def child_forbidden(table: PrefixTable, forbidden: int, child: Perm) -> int:
+def child_forbidden(kernel: Kernel, forbidden: int, child: Perm) -> int:
     """
     The frontier of ``child`` in the avoider tree: bit r is set iff
     appending r to the child, shifting its values >= r up, completes a
-    pattern of the table at the new entry.  ``forbidden`` is the parent's
-    frontier and the child was made by appending its last entry to the
-    parent; the root is ``child_forbidden(table, 0, ())``.
+    pattern of the kernel's table at the new entry.  ``forbidden`` is the
+    parent's frontier and the child was made by appending its last entry
+    to the parent; the root is ``child_forbidden(kernel, 0, ())``.
 
     The shift maps an occurrence's interval (A, B] onto the child's: bits
     below the appended r stay, bit r is doubled and the bits above move
     up one.  Then each prefix occurrence ending at the new entry adds its
     interval.
 
-    >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
-    >>> root = child_forbidden(table, 0, ())
-    >>> bin(child_forbidden(table, child_forbidden(table, root, (1,)), (1, 2)))
+    >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
+    >>> root = child_forbidden(kernel, 0, ())
+    >>> bin(child_forbidden(kernel, child_forbidden(kernel, root, (1,)), (1, 2)))
     '0b1100'
     """
     if child:
         r = child[-1]
         forbidden = forbidden & ((2 << r) - 1) | forbidden >> r << r + 1
-    for a, b, _ in anchored_intervals(table, child, len(child) + 1):
+    for a, b, _ in kernel(child, len(child) + 1):
         forbidden |= (2 << b) - (2 << a)
     return forbidden
 
@@ -147,7 +147,7 @@ def _extension_walk(
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     patterns = frozenset(patterns)
-    table = prefix_table(patterns)
+    kernel = anchored_kernel(prefix_table(patterns))
     counts = [0] * n_max
 
     def grow(w: Perm, forbidden: int) -> None:
@@ -159,12 +159,12 @@ def _extension_walk(
         for r in free:
             child = tuple(v + 1 if v >= r else v for v in w) + (r,)
             if n < n_max:
-                grow(child, child_forbidden(table, forbidden, child))
+                grow(child, child_forbidden(kernel, forbidden, child))
             else:
                 leaves.append(child)
 
     if n_max:
-        grow((), child_forbidden(table, 0, ()))
+        grow((), child_forbidden(kernel, 0, ()))
     elif leaves is not None and () not in patterns:
         leaves.append(())  # the empty permutation avoids every nonempty pattern
     return counts

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = frozenset[Perm]
@@ -193,10 +193,11 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # Both searches choose pattern positions left to right with pruning: by
 # order-isomorphism, the value at pattern position j is bounded only by the
 # values chosen for its nearest smaller and nearest larger entries among
-# positions < j.  The anchored prefix search drives the generators; the
-# reference walker is what they are checked against, so the two share
-# nothing else.  The walker answers two questions, ``contains`` (it stops
-# at the first occurrence) and ``occurrences`` (it lists every one).
+# the positions already chosen.  The anchored prefix search drives the
+# generators; the reference walker is what they are checked against, so
+# the two share nothing else.  The walker answers two questions,
+# ``contains`` (it stops at the first occurrence) and ``occurrences`` (it
+# lists every one).
 #
 # Both generators grow a word one last entry at a time, and a pattern p
 # occurs ending at a new last entry r exactly when some occurrence of its
@@ -206,18 +207,30 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # only the prefix occurrences ending at the node's own last entry, and the
 # rest are inherited from the parent's frontier.
 #
-# The hot searches are closure-free: each recursion is a module-level
-# function that takes its state as arguments, so a call makes no reference
-# cycle and its state is freed by reference counting when it returns.  A
-# nested function that calls itself refers to itself through its own cell,
-# a cycle that only the cyclic garbage collector frees, and the kernels run
-# tens of thousands of times a pass.
+# The anchored search runs at every node of both walks and each call does
+# little search, so its cost is interpreter overhead.  ``anchored_kernel``
+# therefore compiles each prefix table once into one function of straight
+# nested loops: the anchor is chosen first, each free position of a prefix
+# is a ``for`` loop over a local variable, bounded by one chained
+# comparison against its nearest smaller and larger entries among the
+# earlier positions and the anchor, and each pattern's end is a tuple of
+# locals.  Order-isomorphism fixes where an occurrence's highest value
+# sits, so ``high`` is the local at q's largest position.  The source holds
+# only names and integer positions that the generator computes, never a
+# value of its input.
+#
+# The searches leave no reference cycle, so a call's state is freed by
+# reference counting when it returns and the cyclic garbage collector has
+# nothing to do.  The walker is a module-level function that takes its
+# state as arguments (a nested function that calls itself refers to itself
+# through its own cell).  A compiled kernel's globals are its exec
+# namespace, which keeps none of the functions it made; a kernel that
+# continues in a chained function holds it as a default argument.
 
-# one prefix: q, then per free position j < len(q) - 1 its tight refs and
-# whether q_j lies below the anchored last entry, then the patterns' ends
-PrefixTable = tuple[
-    tuple[Perm, tuple[tuple[int, int, bool], ...], tuple[tuple[int, int], ...]], ...
-]
+# one prefix: q, then the patterns' ends, the positions in q of the entries
+# that play p_k - 1 and p_k + 1 (-1 for none)
+PrefixTable = tuple[tuple[Perm, tuple[tuple[int, int], ...]], ...]
+Kernel = Callable[[Sequence[int], int], list[tuple[int, int, int]]]
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +255,8 @@ def prefix_table(patterns: Iterable[Perm]) -> PrefixTable:
     greatest value.  The empty pattern is grouped with the patterns of
     length 1: every nonempty word contains both.
 
-    >>> [(q, ends) for q, _, ends in prefix_table({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)})]
-    [((1, 2, 3, 4), ((2, 3), (3, -1)))]
+    >>> prefix_table({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)})
+    (((1, 2, 3, 4), ((2, 3), (3, -1))),)
     """
     groups: dict[Perm, set[tuple[int, int]]] = {}
     for p in set(patterns):
@@ -253,14 +266,7 @@ def prefix_table(patterns: Iterable[Perm]) -> PrefixTable:
         below = head.index(last - 1) if last - 1 in head else -1
         above = head.index(last + 1) if last + 1 in head else -1
         groups.setdefault(q, set()).add((below, above))
-    return tuple(
-        (
-            q,
-            tuple((*ref, q[j] < q[-1]) for j, ref in enumerate(_tight_refs(q)[:-1])),
-            tuple(sorted(ends)),
-        )
-        for q, ends in sorted(groups.items())
-    )
+    return tuple((q, tuple(sorted(ends))) for q, ends in sorted(groups.items()))
 
 
 def anchored_intervals(
@@ -272,11 +278,16 @@ def anchored_intervals(
     empty occurrence) and every pattern p with that prefix: (A, B, high),
     where A and B are the values of the entries that play p_k - 1 and
     p_k + 1 (0 and ``top`` when there is none) and high is the
-    occurrence's highest value (0 when empty).
+    occurrence's highest value (0 when empty).  The triples come prefix
+    by prefix in table order, occurrences in lexicographic order of their
+    positions.  ``rows`` holds distinct values in 1..top - 1.
 
     A new last entry completes p after that occurrence exactly when it
     lies between A and B: in the open interval (A, B) when values are
     absolute rows, in (A, B] when appending r shifts the values >= r up.
+
+    This runs the table's compiled kernel; a walk fetches it once with
+    ``anchored_kernel`` and calls it at every node.
 
     >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
     >>> anchored_intervals(table, (1, 2), 3)  # the children 132 and 123
@@ -284,64 +295,93 @@ def anchored_intervals(
     >>> anchored_intervals(table, (2, 1), 3)
     []
     """
-    out: list[tuple[int, int, int]] = []
-    n = len(rows)
-    if n == 0:
-        for q, _, ends in table:
-            if not q:
-                out.extend((0, top, 0) for _ in ends)
-        return out
-    anchor = rows[-1]
-    for q, bounds, ends in table:
-        k = len(q)
-        if k == 0 or n < k:
-            continue
-        chosen = [0] * k
-        chosen[-1] = anchor
-        if k == 1:
-            _emit(out, ends, chosen, top, anchor)
-        else:
-            _anchored_walk(out, rows, top, bounds, ends, chosen, 0, 0, anchor)
-    return out
+    return anchored_kernel(table)(rows, top)
 
 
-def _emit(out: list, ends, chosen: list[int], top: int, high: int) -> None:
+# CPython refuses more than 20 statically nested blocks in one function,
+# so a prefix with more free positions goes on in a chained function
+_LOOPS_PER_FUNCTION = 16
+
+
+@lru_cache(maxsize=256)
+def anchored_kernel(table: PrefixTable) -> Kernel:
+    """
+    The table's anchored prefix search compiled into one function:
+    ``anchored_kernel(table)(rows, top) == anchored_intervals(table, rows,
+    top)``.  Kernels are kept per table, so per pattern set; the cache
+    drops its least recently used kernel past 256.
+
+    >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
+    >>> kernel((1, 2), 3), kernel((), 1)
+    ([(1, 2, 2), (2, 3, 2)], [])
+    """
+    chained: dict[str, str] = {}  # name -> source, callees first
+    body = [
+        "out = []",
+        "append = out.append",
+        "n = len(rows)",
+        "if not n:",
+        *("    append((0, top, 0))" for q, ends in table if not q for _ in ends),
+        "    return out",
+        "a = rows[-1]",
+    ]
+    for q, ends in table:
+        if q:
+            body += _kernel_loops(q, ends, 0, chained)
+    kernel = _function("kernel", "rows, top", chained, [*body, "return out"])
+    namespace: dict = {}
+    source = "\n".join([*chained.values(), kernel])
+    exec(compile(source, "<anchored_kernel>", "exec"), namespace)
+    for name in chained:
+        del namespace[name]
+    return namespace.pop("kernel")
+
+
+def _function(name: str, params: str, chained: dict[str, str], body: list[str]) -> str:
+    """Source of a function that holds the chained functions made so far
+    as default arguments."""
+    defaults = "".join(f", {c}={c}" for c in chained)
+    return "\n".join([f"def {name}({params}{defaults}):", *("    " + line for line in body)])
+
+
+def _kernel_loops(q: Perm, ends, j0: int, chained: dict[str, str]) -> list[str]:
+    """Source lines, indented from zero, that choose the free positions
+    j0, j0 + 1, ... of q (the last position is the anchor ``a``) and emit
+    its ends.  After ``_LOOPS_PER_FUNCTION`` loops the rest goes into a
+    chained function, appended to ``chained`` after those it calls."""
+    k = len(q)
+    names = [f"v{t}" for t in range(k - 1)] + ["a"]
+    lines: list[str] = []
+    pad = ""
+    for j in range(j0, k - 1):
+        if j - j0 == _LOOPS_PER_FUNCTION:
+            args = ", ".join(["rows", "top", "append", "n", "a", *names[:j], f"i{j - 1}"])
+            body = _kernel_loops(q, ends, j, chained)
+            name = f"_chained{len(chained)}"
+            chained[name] = _function(name, args, chained, body)
+            return lines + [f"{pad}{name}({args})"]
+        # the nearest smaller and larger entries among the chosen positions
+        chosen = [*range(j), k - 1]
+        lower = [t for t in chosen if q[t] < q[j]]
+        upper = [t for t in chosen if q[t] > q[j]]
+        bound = names[j]
+        if lower:
+            bound = f"{names[max(lower, key=q.__getitem__)]} < {bound}"
+        if upper:
+            bound = f"{bound} < {names[min(upper, key=q.__getitem__)]}"
+        # with rows shorter than q the first loop is empty (n >= 1 here)
+        start, stop = (f"i{j - 1} + 1" if j else "0"), f"n - {k - 1 - j}"
+        if j < k - 2:
+            lines += [f"{pad}for i{j} in range({start}, {stop}):", f"{pad}    v{j} = rows[i{j}]"]
+        else:  # the last free position needs no index
+            lines.append(f"{pad}for v{j} in rows[{start}:{stop}]:")
+        lines.append(f"{pad}    if {bound}:")
+        pad += "        "
+    high = names[max(range(k), key=q.__getitem__)]
     for below, above in ends:
-        out.append((
-            chosen[below] if below >= 0 else 0,
-            chosen[above] if above >= 0 else top,
-            high,
-        ))
-
-
-def _anchored_walk(
-    out: list, rows: Sequence[int], top: int, bounds, ends,
-    chosen: list[int], j: int, start: int, high: int,
-) -> None:
-    """Choose free position j of a prefix, then recurse; the last entry of
-    ``chosen`` is the anchored last entry of ``rows``."""
-    lo, hi, under = bounds[j]
-    lov = chosen[lo] if lo >= 0 else 0
-    hiv = chosen[hi] if hi >= 0 else top
-    # fold in the comparison against the anchored last entry
-    anchor = chosen[-1]
-    if under:
-        if anchor < hiv:
-            hiv = anchor
-    elif anchor > lov:
-        lov = anchor
-    last = j == len(bounds) - 1
-    for i in range(start, len(rows) - len(chosen) + j + 1):
-        v = rows[i]
-        if lov < v < hiv:
-            chosen[j] = v
-            if last:
-                _emit(out, ends, chosen, top, v if v > high else high)
-            else:
-                _anchored_walk(
-                    out, rows, top, bounds, ends, chosen, j + 1, i + 1,
-                    v if v > high else high,
-                )
+        low = names[below] if below >= 0 else "0"
+        lines.append(f"{pad}append(({low}, {names[above] if above >= 0 else 'top'}, {high}))")
+    return lines
 
 
 def contains(p: Perm, w: Sequence[int]) -> bool:

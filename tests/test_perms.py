@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shapewilf.perms import (
     all_perms,
     anchored_intervals,
+    anchored_kernel,
     apply_ops,
     avoids_all,
     complement,
@@ -27,8 +28,10 @@ from shapewilf.perms import (
     set_apply_ops,
     set_direct_sum,
 )
-from shapewilf.equivalence import child_forbidden
-from shapewilf.boards import Filling, child_blocks, corner_profile, filling_avoids_all
+from shapewilf.equivalence import avoider_counts, child_forbidden
+from shapewilf.boards import (
+    Filling, child_blocks, corner_profile, count_fillings, filling_avoids_all,
+)
 from shapewilf.pops import fan_pop, pop_occurrences
 
 perms = st.integers(min_value=0, max_value=6).flatmap(
@@ -37,8 +40,10 @@ perms = st.integers(min_value=0, max_value=6).flatmap(
 patterns = st.integers(min_value=1, max_value=3).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+# the engine kernel's tests draw patterns up to length 5, the length of
+# every set the suites check: three free positions per prefix
 pattern_sets = st.frozensets(
-    st.integers(min_value=1, max_value=4).flatmap(
+    st.integers(min_value=1, max_value=5).flatmap(
         lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
     ),
     min_size=1,
@@ -155,10 +160,10 @@ def test_engine_kernel_matches_brute_force_in_board(patterns, filling, column):
     heights = board_over(w, slack)
     column = min(column, n)
     prefix = w[: column - 1]
-    table = prefix_table(patterns)
-    blocks = child_blocks(table, [n + 1] * (n + 2), ())
+    kernel = anchored_kernel(prefix_table(patterns))
+    blocks = child_blocks(kernel, [n + 1] * (n + 2), ())
     for c in range(1, column):
-        blocks = child_blocks(table, blocks, w[:c])
+        blocks = child_blocks(kernel, blocks, w[:c])
     # a later column is no taller than the one before it
     tallest = heights[column - 2] if column > 1 else n
     for r in sorted(set(range(1, n + 1)) - set(prefix)):
@@ -190,10 +195,10 @@ def test_engine_kernel_matches_brute_force_in_board(patterns, filling, column):
 def test_engine_kernel_on_an_appended_last_entry(patterns, w):
     # the avoider tree's frontier, replayed from the root along w's
     # prefixes, forbids r exactly when appending r completes a pattern
-    table = prefix_table(patterns)
-    forbidden = child_forbidden(table, 0, ())
+    kernel = anchored_kernel(prefix_table(patterns))
+    forbidden = child_forbidden(kernel, 0, ())
     for i in range(1, len(w) + 1):
-        forbidden = child_forbidden(table, forbidden, standardize(w[:i]))
+        forbidden = child_forbidden(kernel, forbidden, standardize(w[:i]))
     n = len(w) + 1
     assert forbidden >> n + 1 == 0
     w_avoids = not any(contains(p, w) for p in patterns)
@@ -207,14 +212,52 @@ def test_engine_kernel_on_an_appended_last_entry(patterns, w):
             assert expected == any(contains(p, child) for p in patterns)
 
 
+@given(pattern_sets, st.lists(st.integers(min_value=1, max_value=9), unique=True, max_size=7))
+@settings(max_examples=200)
+def test_engine_kernel_lists_anchored_prefix_occurrences_in_order(patterns, rows):
+    # the compiled kernel against its definition, order included: prefix
+    # by prefix in table order, then the occurrences that end at the last
+    # entry (in the empty word, the empty one) in lexicographic order
+    table = prefix_table(patterns)
+    expected = []
+    for q, ends in table:
+        for occ in brute_occurrences(q, rows):
+            if (occ[-1] == len(rows)) if occ else not rows:
+                chosen = [rows[i - 1] for i in occ]
+                expected.extend(
+                    (chosen[below] if below >= 0 else 0,
+                     chosen[above] if above >= 0 else 10,
+                     max(chosen, default=0))
+                    for below, above in ends
+                )
+    assert anchored_intervals(table, tuple(rows), 10) == expected
+
+
+def test_kernels_past_the_nesting_limit():
+    # one function may nest at most 20 loops, so a kernel for the identity
+    # of length 25, whose prefix has 23 free positions, chains functions
+    s = frozenset({(2, 1), tuple(range(1, 26))})
+    assert avoider_counts(s, 26) == [1] * 24 + [0, 0]
+    assert count_fillings(tuple(range(25, 0, -1)), s) == 1
+    assert anchored_intervals(prefix_table(s), tuple(range(1, 25)), 25) == [
+        (0, 24, 24), (24, 25, 24)
+    ]
+
+
 def test_occurrence_searches_leave_no_reference_cycles():
     # every search frees its state by reference counting when it returns,
     # so the hot kernels leave nothing for the cyclic collector; the
     # recursive closures made once per walk (boards._walk.descend,
     # equivalence._extension_walk.grow, boards.enumerate_boards.grow) are
-    # not called here and may stay
+    # not called here and may stay.  A compiled kernel, one that goes on in
+    # chained functions included, is freed by reference counting too once
+    # dropped: the fresh ones are compiled past the cache and dropped here
     patterns = [(1, 3, 2), (2, 1, 3), (1, 2)]
     table = prefix_table(patterns)
+    fresh = [
+        prefix_table({(2, 4, 1, 3), (3, 1, 4, 2)}),
+        prefix_table({(2, 1, *range(3, 41)), tuple(range(40, 0, -1))}),
+    ]
     fan = fan_pop(3, 2)
     words = list(all_perms(5))
     square = (5,) * 5
@@ -228,9 +271,15 @@ def test_occurrence_searches_leave_no_reference_cycles():
             corner_profile(w, patterns)
             filling_avoids_all(Filling(square, w), patterns)
             anchored_intervals(table, w, 6)
-            child_blocks(table, [6] * 7, w)
-            child_forbidden(table, 0, w)
+            kernel = anchored_kernel(table)
+            child_blocks(kernel, [6] * 7, w)
+            child_forbidden(kernel, 0, w)
             pop_occurrences(fan, w)
+        for t in fresh:
+            kernel = anchored_kernel.__wrapped__(t)
+            for w in words:
+                kernel(w, 6)
+        del kernel
         leaked = gc.collect()
     finally:
         gc.enable()
