@@ -322,12 +322,17 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
         lo, hi = (max(n - c, board[c]), min(cap, board[c])) if board else (n - c, cap)
         below: list[list] = [[] for _ in range(hi + 1)]
         for rows, free, blocks in partials:
-            for r in range(1, hi + 1):
-                if not free >> r & 1:
-                    continue
-                left = free ^ 1 << r
-                floor = max(r, left.bit_length() - 1, lo)
-                top = min(hi, max(blocks[r], r) - 1)
+            bits = free & ((2 << hi) - 1)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                r = low.bit_length() - 1
+                left = free ^ low
+                floor = r if left < low else left.bit_length() - 1
+                if floor < lo:
+                    floor = lo
+                # below r only if blocks[r] <= r, and then below the floor too
+                top = hi if blocks[r] > hi else blocks[r] - 1
                 if floor <= top:
                     grown = rows + (r,)
                     child = (grown, left, child_blocks(kernel, blocks, grown)) if left else grown
@@ -374,7 +379,8 @@ def fillings_by_board(n: int, avoid: Iterable[Perm] = ()) -> Iterator[tuple[Boar
     heights.  A node of the walk holds the partial fillings that fit its
     prefix of heights, in lexicographic order, as (rows, free rows as a
     bitmask, frontier).  It extends each once by every free row r at most
-    its height (n at the root), builds that child's frontier once (see
+    its height (n at the root), taken by the mask's set bits, lowest
+    first, builds that child's frontier once (see
     ``child_blocks``; none in the last column) and hands the child to
     every next height from a floor to a top:
 

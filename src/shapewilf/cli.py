@@ -5,7 +5,8 @@ Subcommands: count-av, check, suite, bijection, boards, fillings, oeis.
 Global flags (before the subcommand): --format {table,csv,json-lines},
 --offline, --cache-dir, --time-budget, --timings.  ``bijection`` names its
 map by one oracle expression (``equivalence.evaluate_oracle_expression``),
-e.g. "transfer(fan(3,3,1),{12})", and takes --filling or --verify.
+e.g. "transfer(fan(3,3,1),{12})", and takes --filling or --verify.  All
+three formats end every line with LF.
 
 Exit status: 0 = success / verdict equal, 1 = mathematical divergence or
 failed verification, 2 = usage error, reported as one "error: ..." line
@@ -59,7 +60,7 @@ def _emit_records(records: list[dict], fmt: str, columns: list[str]) -> None:
         for rec in records:
             print(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
             writer.writerow([_cell(rec.get(col, "")) for col in columns])

@@ -17,10 +17,12 @@ A child inherits its parent's mask, shifted with its values, and adds
 the intervals that the anchored prefix search reports for the prefix
 occurrences ending at its own last entry; the walk fetches the set's
 compiled search, ``perms.anchored_kernel``, once.  The children are the
-clear bits, so the last level is counted from its parents without being
-visited, and memory is O(n^2) whatever n is.  The board walk of ``boards`` carries the same frontier
-over absolute rows.  All counts are exact Python integers, so there is
-no overflow to detect.
+clear bits, taken lowest first, so the last level is counted from its
+parents' frontiers by popcount without being visited; unless avoiders are
+listed, the level above it is visited in its parents' loops and opens no
+frame of its own.  Memory is O(n^2) whatever n is.  The board walk of
+``boards`` carries the same frontier over absolute rows.  All counts are
+exact Python integers, so there is no overflow to detect.
 
 Reverse, complement and inverse generate the eight symmetries of the
 square.  ``SYMMETRIES`` lists them as words applied left to right: the
@@ -141,9 +143,10 @@ def _extension_walk(
     patterns: Iterable[Perm], n_max: int, leaves: Optional[list] = None
 ) -> list[int]:
     """Counts of avoiders for n = 1..n_max, by one depth-first walk of the
-    extension tree; the avoiders of length n_max go into ``leaves``.  A
-    node's children are the clear bits of its frontier, so the last level
-    is counted from its parents' frontiers, and listed only for leaves."""
+    extension tree; the avoiders of length n_max go into ``leaves``, in
+    lexicographic order of insertion codes.  A node's children are the
+    clear bits of its frontier, lowest first, so the last level is counted
+    from its parents' frontiers, and listed only for leaves."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     patterns = frozenset(patterns)
@@ -152,16 +155,23 @@ def _extension_walk(
 
     def grow(w: Perm, forbidden: int) -> None:
         n = len(w) + 1
-        free = [r for r in range(1, n + 1) if not forbidden >> r & 1]
-        counts[n - 1] += len(free)
+        free = ~forbidden & ((2 << n) - 2)
+        counts[n - 1] += free.bit_count()
         if n == n_max and leaves is None:
             return
-        for r in free:
-            child = tuple(v + 1 if v >= r else v for v in w) + (r,)
-            if n < n_max:
-                grow(child, child_forbidden(kernel, forbidden, child))
-            else:
+        # without leaves, each child's children are counted here, in no frame of its own
+        count_below = n == n_max - 1 and leaves is None
+        while free:
+            low = free & -free
+            free ^= low
+            r = low.bit_length() - 1
+            child = (*[v + 1 if v >= r else v for v in w], r)
+            if n == n_max:
                 leaves.append(child)
+            elif count_below:
+                counts[n] += (~child_forbidden(kernel, forbidden, child) & ((4 << n) - 2)).bit_count()
+            else:
+                grow(child, child_forbidden(kernel, forbidden, child))
 
     if n_max:
         grow((), child_forbidden(kernel, 0, ()))

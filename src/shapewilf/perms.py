@@ -301,6 +301,7 @@ def anchored_intervals(
 # CPython refuses more than 20 statically nested blocks in one function,
 # so a prefix with more free positions goes on in a chained function
 _LOOPS_PER_FUNCTION = 16
+_kernels_compiled = itertools.count(1)
 
 
 @lru_cache(maxsize=256)
@@ -309,7 +310,9 @@ def anchored_kernel(table: PrefixTable) -> Kernel:
     The table's anchored prefix search compiled into one function:
     ``anchored_kernel(table)(rows, top) == anchored_intervals(table, rows,
     top)``.  Kernels are kept per table, so per pattern set; the cache
-    drops its least recently used kernel past 256.
+    drops its least recently used kernel past 256.  Each kernel's code
+    filename is ``<anchored_kernel N>``, N counting compiles, so a profile
+    keeps kernels apart; it holds no value of the table.
 
     >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
     >>> kernel((1, 2), 3), kernel((), 1)
@@ -331,7 +334,7 @@ def anchored_kernel(table: PrefixTable) -> Kernel:
     kernel = _function("kernel", "rows, top", chained, [*body, "return out"])
     namespace: dict = {}
     source = "\n".join([*chained.values(), kernel])
-    exec(compile(source, "<anchored_kernel>", "exec"), namespace)
+    exec(compile(source, f"<anchored_kernel {next(_kernels_compiled)}>", "exec"), namespace)
     for name in chained:
         del namespace[name]
     return namespace.pop("kernel")

@@ -380,9 +380,19 @@ def test_fillings_listing_and_count(capsys):
 def test_fillings_count_only_bytes(capsys):
     argv = ("fillings", "--board", "[3,3,1]", "--count-only")
     _, out, _ = run(capsys, "--format", "csv", *argv)
-    assert out == 'board,count\r\n"[3,3,1]",2\r\n'
+    assert out == 'board,count\n"[3,3,1]",2\n'
     _, out, _ = run(capsys, "--format", "json-lines", *argv)
     assert out == '{"board":"[3,3,1]","count":2}\n'
+
+
+def test_csv_ends_lines_with_lf_like_the_other_formats(capsys):
+    for argv in [
+        ("count-av", "--set", "{123}", "--n", "4"),
+        ("check", "shape-wilf", "--left", "{213,312}", "--right", "{123,132}", "--n", "4"),
+        ("fillings", "--board", "[3,3,1]", "--count-only"),
+    ]:
+        _, out, _ = run(capsys, "--format", "csv", *argv)
+        assert out.endswith("\n") and "\r" not in out, argv
 
 
 def test_oeis_verdict_is_one_rule_for_suite_and_compare(capsys, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapewilf.perms import format_pattern_set, parse_pattern_set, set_apply_ops
+from shapewilf.perms import (
+    all_perms, avoids_all, format_pattern_set, parse_pattern_set, set_apply_ops,
+)
 from shapewilf.boards import (
     Filling,
     count_fillings,
@@ -84,6 +86,27 @@ pattern_sets = st.lists(
     min_size=1,
     max_size=3,
 ).map(frozenset)
+
+
+def insertion_code(w):
+    """r_i is the rank of w_i among w_1..w_i: the last entry appended at
+    the i-th level of the extension tree."""
+    return tuple(sum(v <= w[i] for v in w[:i + 1]) for i in range(len(w)))
+
+
+@given(st.lists(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    min_size=1,
+    max_size=3,
+).map(frozenset))
+@settings(max_examples=25, deadline=None)
+def test_avoiders_are_listed_in_insertion_code_order(patterns):
+    # the walk visits a node's children by increasing appended entry
+    for n in range(7):
+        naive = [w for w in all_perms(n) if avoids_all(patterns, w)]
+        assert avoiders(patterns, n) == sorted(naive, key=insertion_code), n
 
 
 @given(pattern_sets)

@@ -244,6 +244,24 @@ def test_kernels_past_the_nesting_limit():
     ]
 
 
+def test_each_kernel_has_its_own_profile_row():
+    # a profile keys functions by (file, line, name), so two kernels that
+    # shared a code filename would fold into one row
+    import cProfile
+    import pstats
+    import re
+
+    kernels = [anchored_kernel(prefix_table(s)) for s in ({(1, 2, 3)}, {(1, 3, 2), (2, 1)})]
+    profile = cProfile.Profile()
+    profile.enable()
+    for kernel in kernels:
+        kernel((1, 2), 3)
+    profile.disable()
+    files = {file for file, _, name in pstats.Stats(profile).stats if name == "kernel"}
+    assert len(files) == 2
+    assert all(re.fullmatch(r"<anchored_kernel \d+>", file) for file in files), files
+
+
 def test_occurrence_searches_leave_no_reference_cycles():
     # every search frees its state by reference counting when it returns,
     # so the hot kernels leave nothing for the cyclic collector; the
