@@ -19,7 +19,9 @@ level whose top-row 1 is not a valid slot.  The maps:
 * ``fan_to_bottom_last`` -- from the fan with apex at the last position to
   the set of patterns whose minimum sits at the last position; the fan map
   from apex k to apex 1 on the transposed filling, transposed back.  So
-  every map here runs the one top-row peel recursion.
+  every map here runs the one top-row peel recursion.  Each board is
+  transposed once, in a bounded memo table (1024 entries); the rows are
+  inverted directly.
 * ``wedge_valley_bijection`` -- between any two of the six size-3 pattern
   pairs handled by the top-row recursion; for the valley-like pairs the
   two valid slots flank the column holding the highest 1 below the top row
@@ -28,40 +30,48 @@ level whose top-row 1 is not a valid slot.  The maps:
   for S (+) T ~ S' (+) T by splitting the board into a "red" region (cells
   with an in-board occurrence of some pattern of T strictly above and to
   the right) and a "blue" rest, mapping the squashed red subfilling with
-  the inner bijection, and reinserting the blue rows and columns.  The red
-  columns are read off the in-board tail occurrences in one pass from the
-  right; when the red region holds no 1 the filling is its own image and
-  the inner map is skipped, and when the inner map fixes the squashed
-  subfilling the input is returned as it is.  Two bounded memo tables
-  share work across fillings: the tail occurrences of each row tuple
-  (8192 entries), and the inner image of each squashed red subfilling
-  (4096 entries), which assumes the inner map is a pure function of its
+  the inner bijection, and reinserting the blue rows and columns.  A
+  filling has a red 1 iff it contains {1} (+) T in-board, so one corner
+  test against a threshold listed per row tuple returns a filling with no
+  red 1 as its own image, before any pass over its columns and without
+  the inner map.  Otherwise the red columns are read off the in-board
+  tail occurrences in one pass from the right, and when the inner map
+  fixes the squashed subfilling the input is returned as it is.  Two
+  bounded memo tables share work across fillings: the tail occurrences
+  of each row tuple that can redden a column, with the threshold (8192
+  entries), and the inner image of each squashed red subfilling (4096
+  entries), which assumes the inner map is a pure function of its
   filling.
 
 ``verify_bijection`` checks a map exhaustively on every board up to a
 size.  Its avoidance checks use the corner profile of each distinct row
 tuple (``boards.corner_profile``), built once per level, not the reference
-walker once per filling.
+walker once per filling, and it validates each distinct image row tuple
+with ``make_filling`` once per level; each filling then costs one
+comparison per column for each check that depends on its board.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import le
 from typing import Callable, Optional
 
-from .perms import Perm, PatternSet, format_pattern_set, occurrences, set_direct_sum
+from .perms import (
+    Perm, PatternSet, format_pattern_set, inverse, occurrences, set_direct_sum,
+)
 from .boards import (
     Board,
     Filling,
+    board_from_row_lengths,
     corner_profile,
     filling_avoids_all,
     filling_counts,
     fillings_by_board,
     format_filling,
     make_filling,
-    profile_contains,
-    transpose_filling,
 )
 from .pops import fan_pop, below_all_pop, pop_to_pattern_set
 
@@ -252,6 +262,10 @@ def fan_bijection(
     )
 
 
+# the column heights of each board's transpose, validated once per board
+_transposed = lru_cache(maxsize=1 << 10)(board_from_row_lengths)
+
+
 def fan_to_bottom_last(f: Filling, k: int, trace: Trace = None) -> Filling:
     """
     Map a filling avoiding the fan set with apex k (patterns with maximum
@@ -260,9 +274,14 @@ def fan_to_bottom_last(f: Filling, k: int, trace: Trace = None) -> Filling:
     filling inverts every in-board pattern; "maximum last" is closed under
     inverse, and the inverse of "maximum first" is "minimum last".  So the
     recursion peels the rightmost column and the row of its 1, and a
-    non-avoider raises at its first invalid peel level.
+    non-avoider raises at its first invalid peel level.  The fan map keeps
+    the transposed board, whose transpose is f's, so only the rows are
+    inverted back; each board is transposed (and validated) once, in a
+    bounded memo table.
     """
-    return transpose_filling(fan_bijection(transpose_filling(f), k, k, 1, trace))
+    board, rows = f
+    image = fan_bijection(Filling(_transposed(board), inverse(rows)), k, k, 1, trace)
+    return Filling(board, inverse(image.rows))
 
 
 def wedge_valley_bijection(
@@ -293,42 +312,52 @@ def direct_sum_transfer(
     Every board cell with an in-board occurrence of some tail pattern
     strictly above and to its right is red, the rest blue.  The reference
     walker lists the tail occurrences once per row tuple (a bounded memo
-    table) and the corner test keeps the in-board ones on f's board; a
-    column's red cells are the rows below the highest lowest row of one
-    starting to its right, up to the column's height.  One pass from the
-    right reads which columns are red (those whose 1 is a red cell) and
-    their red tops.  Rows and columns of blue 1s are deleted; since the
+    table, ``_tail_corners``), which drops those with no 1 below and left of
+    them: they redden no column.  The corner test keeps the in-board ones on
+    f's board; a column's red cells are the rows below the highest lowest
+    row of one starting to its right, up to the column's height.  One pass
+    from the right reads which columns are red (those whose 1 is a red cell)
+    and their red tops.  Rows and columns of blue 1s are deleted; since the
     rows are a permutation, the rows left are those of the red 1s.  The red
     remainder is squashed bottom-left into a smaller board, mapped with the
-    inner bijection, and the blue rows and columns are reinserted
-    unchanged; when the inner map fixes the squashed subfilling, f is its
-    own image and is returned as it is.  The inner image is memoized per
-    ``inner.apply`` and squashed subfilling in a second bounded table, so
-    the inner map must be a pure function of its filling; one that raises
-    caches nothing, and it runs with no trace.  The squashed board is
-    Ferrers by construction: a column's red top is the minimum of its height
-    and a suffix maximum, two sequences that never increase to the right.
-    ``make_filling`` checks only that the red 1s are a transversal of it,
-    once per memo miss.  A filling whose red region holds no 1 (one avoiding
-    the tail everywhere is all blue) maps to itself at once: the squashed
-    red subfilling is the empty filling, the image of itself under any
-    shape-preserving inner map, so the inner map is not run; the trace still
-    gets its transfer line.  A non-avoider has a red subfilling that
-    contains ``inner.source``, so the inner map raises at its first invalid
-    peel level.
+    inner bijection, and the blue rows and columns are reinserted unchanged;
+    when the inner map fixes the squashed subfilling, f is its own image and
+    is returned as it is.  The inner image is memoized per ``inner.apply``
+    and squashed subfilling in a second bounded table, so the inner map must
+    be a pure function of its filling; one that raises caches nothing, and
+    it runs with no trace.  The squashed board is Ferrers by construction: a
+    column's red top is the minimum of its height and a suffix maximum, two
+    sequences that never increase to the right.  ``make_filling`` checks
+    only that the red 1s are a transversal of it, once per memo miss.  A red
+    1 and a tail occurrence above and right of it form an in-board
+    occurrence of {1} (+) tail, so a filling avoiding that set in-board, by
+    one corner test against the threshold the memo table lists with the
+    occurrences, has no red 1 and maps to itself at once, before the pass
+    over its columns: the squashed red subfilling is the empty filling, the
+    image of itself under any shape-preserving inner map, so the inner map
+    is not run; the trace still gets its transfer line.  A non-avoider has a
+    red subfilling that contains ``inner.source``, so the inner map raises
+    at its first invalid peel level.
     """
     board, rows = f
     m = len(board)
     if m == 0:
+        return f
+    tail = frozenset(tail)
+    corners, need = _tail_corners(rows, tail)
+    if not any(map(le, need, board)):
+        # f avoids {1} (+) tail in-board, so no 1 is red: the empty board's
+        # one filling is its own image under any shape-preserving inner
+        # map, so f is too
+        _trace_transfer(trace, _EMPTY, m, [])
         return f
     # cell (c, r) is red iff some occurrence starts right of column c with
     # every row above r, so a column's red cells are the bottom run of rows
     # below the highest lowest row among those occurrences: the highest
     # lowest row per start column, then a suffix maximum from the right;
     # index m holds the empty occurrence, above and right of every cell
-    tail = frozenset(tail)
     reach = [0] * m + [m + 1 if () in tail else 0]
-    for start, last, high, low in _tail_corners(rows, tail):
+    for start, last, high, low in corners:
         # in-board iff its highest row is at most its last column's height
         if high <= board[last] and low > reach[start]:
             reach[start] = low
@@ -344,18 +373,13 @@ def direct_sum_transfer(
             red_tops.append(min(board[c], best - 1))
         if reach[c] > best:
             best = reach[c]
-    if not red_cols:
-        # no red 1: the empty board's one filling is its own image under
-        # any shape-preserving inner map, so f is too
-        _trace_transfer(trace, _EMPTY, m, [])
-        return f
     red_cols.reverse()
     red_tops.reverse()
     # the rows are a permutation, so the surviving rows are the red 1s' rows
-    red_rows = sorted(rows[c] for c in red_cols)
+    red_rows = sorted([rows[c] for c in red_cols])
     sub = Filling(
-        tuple(bisect_right(red_rows, top) for top in red_tops),
-        tuple(bisect_left(red_rows, rows[c]) + 1 for c in red_cols),
+        tuple([bisect_right(red_rows, top) for top in red_tops]),
+        tuple([bisect_left(red_rows, rows[c]) + 1 for c in red_cols]),
     )
     _trace_transfer(trace, sub, m, red_rows)
 
@@ -374,14 +398,38 @@ def direct_sum_transfer(
 
 
 @lru_cache(maxsize=1 << 13)
-def _tail_corners(rows: Perm, tail: PatternSet) -> tuple[tuple[int, int, int, int], ...]:
-    """Each occurrence in rows of a nonempty pattern of the tail as 0-based
-    (first column, last column, highest row, lowest row); an occurrence's
-    highest and lowest rows sit at its pattern's k and 1."""
-    return tuple(
-        (occ[0] - 1, occ[-1] - 1, rows[occ[p.index(len(p))] - 1], rows[occ[p.index(1)] - 1])
-        for p in filter(None, tail) for occ in occurrences(p, rows)
-    )
+def _tail_corners(
+    rows: Perm, tail: PatternSet
+) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
+    """The occurrences in rows of the tail's nonempty patterns that can
+    redden a column, and the red threshold, from one listing.
+
+    Each occurrence is kept as 0-based (first column, last column, highest
+    row, lowest row); its highest and lowest rows sit at its pattern's k
+    and 1.  One whose lowest row is not above the least row left of its
+    first column has no 1 below and left of it, so it reddens no column
+    and is dropped.  A kept one and a 1 below and left of it form an
+    occurrence of {1} (+) tail with the same last column and highest row,
+    so the threshold's entry for a 0-based column is the least highest row
+    of an occurrence of {1} (+) tail ending there, and len(rows) + 1 if
+    there is none; with the empty pattern in the tail, {1} (+) () = {1}
+    occurs at every 1, so no entry exceeds its column's row.  A filling of
+    a board by rows has a red 1 iff some entry is at most its column's
+    height: the corner test of {1} (+) tail."""
+    m = len(rows)
+    least_left = list(accumulate(rows, min, initial=m + 1))
+    need = list(rows) if () in tail else [m + 1] * m
+    kept = []
+    for p in filter(None, tail):
+        top, bottom = p.index(len(p)), p.index(1)
+        for occ in occurrences(p, rows):
+            start, last, low = occ[0] - 1, occ[-1] - 1, rows[occ[bottom] - 1]
+            if low > least_left[start]:
+                high = rows[occ[top] - 1]
+                kept.append((start, last, high, low))
+                if high < need[last]:
+                    need[last] = high
+    return tuple(kept), tuple(need)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -486,16 +534,6 @@ class VerificationReport:
         )
 
 
-def _contains(
-    profiles: dict[Perm, list[int]], patterns: PatternSet, rows: Perm, board: Board
-) -> bool:
-    """In-board containment of the set in (board, rows), profiled once per rows."""
-    need = profiles.get(rows)
-    if need is None:
-        need = profiles[rows] = corner_profile(rows, patterns)
-    return profile_contains(need, board)
-
-
 def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     """
     Exhaustively check the oracle's raw ``apply`` on every board with up to
@@ -510,8 +548,16 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     ``corner_profile``: one permutation fits many boards, so each level
     lists the occurrences of each distinct source row tuple and of each
     distinct image row tuple once, and decides each board by one
-    comparison per column.  The profiles are dropped at the end of the
-    level, so memory stays bounded by one level's distinct row tuples.
+    comparison per column against its heights, ``(0,) + board``, built
+    once per board.  The shape check splits the same way: the first time
+    an image row tuple comes up in a level, ``make_filling`` validates it
+    on the board at hand, in the step that builds its target profile;
+    after that, an image is on its board iff ``g.board == board`` and
+    every 1 is at most its column's height.  So every part of the check
+    that depends on the board is still made for every image.  Injectivity
+    is checked on the image rows within the board.  The profiles are
+    dropped at the end of the level, so memory stays bounded by one
+    level's distinct row tuples.
     """
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
@@ -524,11 +570,15 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
         image_profiles: dict[Perm, list[int]] = {}
         for board, listed in fillings_by_board(n, source):
             report.boards_checked += 1
-            seen: dict[Filling, Filling] = {}
+            heights = (0,) + board
+            seen: dict[Perm, Filling] = {}
             for rows in listed:
                 f = Filling(board, rows)
                 report.fillings_checked += 1
-                if _contains(source_profiles, source, rows, board):
+                need = source_profiles.get(rows)
+                if need is None:
+                    need = source_profiles[rows] = corner_profile(rows, source)
+                if any(map(le, need, heights)):
                     report.violation = Violation(
                         "domain", board, f, f"{format_filling(f)} contains the source set"
                     )
@@ -540,30 +590,41 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
                         "domain", board, f, f"{format_filling(f)}: {exc}"
                     )
                     return report
+                image = g.rows
                 try:
-                    on_board = make_filling(board, g.rows) == g
-                except ValueError:
-                    on_board = False
+                    need = image_profiles.get(image)
+                except TypeError:  # unhashable rows: no row tuple, not profiled
+                    need = None
+                if need is not None:
+                    # profiled in this level, so a permutation of 1..n
+                    on_board = g.board == board and all(map(le, image, board))
+                else:
+                    try:
+                        on_board = make_filling(board, image) == g
+                    except ValueError:
+                        on_board = False
+                    if on_board:
+                        need = image_profiles[image] = corner_profile(image, target)
                 if not on_board:
                     report.violation = Violation(
                         "shape", board, (f, g),
                         f"{format_filling(f)} mapped off-board to {format_filling(g)}",
                     )
                     return report
-                if _contains(image_profiles, target, g.rows, board):
+                if any(map(le, need, heights)):
                     report.violation = Violation(
                         "codomain", board, (f, g),
                         f"{format_filling(f)} -> {format_filling(g)} contains the target set",
                     )
                     return report
-                if g in seen:
+                if image in seen:
                     report.violation = Violation(
-                        "injectivity", board, (seen[g], f),
-                        f"{format_filling(seen[g])} and {format_filling(f)} "
+                        "injectivity", board, (seen[image], f),
+                        f"{format_filling(seen[image])} and {format_filling(f)} "
                         f"both map to {format_filling(g)}",
                     )
                     return report
-                seen[g] = f
+                seen[image] = f
             if len(listed) != target_counts[board]:
                 report.violation = Violation(
                     "count", board, None,

@@ -410,8 +410,9 @@ def test_transfer_memos_key_on_everything_the_image_depends_on():
 def test_transfer_lists_each_row_tuple_and_maps_each_subfilling_once(monkeypatch):
     # the pinned transfer at n <= 6 maps 11 356 sources with 823 distinct
     # row tuples, and runs its inner map on 24 distinct squashed subfillings;
-    # the verifier builds each image once more, so make_filling runs once per
-    # source and once per distinct subfilling
+    # the verifier validates each distinct image row tuple once per level,
+    # here 823 of them, so make_filling runs once per distinct image row
+    # tuple and once per distinct subfilling
     calls = {"occurrences": 0, "inner": 0, "make_filling": 0}
     listing = bijections.occurrences
     building = bijections.make_filling
@@ -438,7 +439,7 @@ def test_transfer_lists_each_row_tuple_and_maps_each_subfilling_once(monkeypatch
     assert report.describe() == (
         "transfer[fan k=3 apex 3->1] (+) {12}: OK on 196 boards / 11356 fillings (n <= 6)"
     )
-    assert calls == {"occurrences": 823, "inner": 24, "make_filling": 11356 + 24}
+    assert calls == {"occurrences": 823, "inner": 24, "make_filling": 823 + 24}
     _clear_transfer_memos()
 
 
@@ -555,6 +556,34 @@ def test_verify_decides_the_codomain_per_board_not_per_row_tuple():
     )
 
 
+# 4321 fits the later board; each image below is off it, though the same
+# rows, as a tuple, were already validated as an image on the square board,
+# listed first
+LEAVING_IMAGES = {
+    "valid on a taller board": Filling(LATER, (1, 2, 3, 4)),
+    "rows right, board wrong": Filling((4, 4, 4, 4), (4, 3, 2, 1)),
+    "rows a list": Filling(LATER, [4, 3, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("image", LEAVING_IMAGES.values(), ids=LEAVING_IMAGES)
+def test_verify_decides_the_shape_per_board_not_per_row_tuple(image):
+    # identity on {312}-avoiders, except that 4321 on the later board maps
+    # to an image off that board
+    avoid = parse_pattern_set("{312}")
+    late = Filling(LATER, (4, 3, 2, 1))
+    oracle = BijectionOracle(
+        "late image", avoid, avoid, lambda f, trace=None: image if f == late else f
+    )
+    report = verify_bijection(oracle, 4)
+    v = report.violation
+    assert (v.kind, v.board, v.witness) == ("shape", LATER, (late, image))
+    assert report.describe() == (
+        "late image: shape violation on board (4, 4, 3, 3): "
+        f"[4,4,3,3]/4321 mapped off-board to {format_filling(image)}"
+    )
+
+
 def test_verify_decides_the_domain_per_board_not_per_row_tuple(monkeypatch):
     # a listing that also hands 3412 to the later board, where it does not
     # avoid the source set; the earlier board lists it rightly
@@ -587,6 +616,25 @@ def test_shape_preservation_everywhere():
             for f in fillings(board, pop_to_pattern_set(fan_pop(3, 3))):
                 assert fan_bijection(f, 3, 3, 2).board == board
                 assert fan_to_bottom_last(f, 3).board == board
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fan_to_bottom_last_is_the_fan_map_conjugated_by_transposition(k):
+    # the map transposes each board once and inverts the rows itself; the
+    # definition transposes the whole filling both ways
+    count = 0
+    for n in range(1, 7):
+        for board, listed in fillings_by_board(n, fan_bottom_last_oracle(k).source):
+            for rows in listed:
+                f = Filling(board, rows)
+                trace, expected_trace = [], []
+                expected = transpose_filling(
+                    fan_bijection(transpose_filling(f), k, k, 1, expected_trace)
+                )
+                assert fan_to_bottom_last(f, k, trace) == expected, f
+                assert trace == expected_trace, f
+                count += 1
+    assert count == {2: 196, 3: 2772, 4: 7390}[k]
 
 
 def test_fan_trace_has_one_line_per_level():
