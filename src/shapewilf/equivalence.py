@@ -15,12 +15,19 @@ need testing.  Each node carries them as a frontier: the bitmask of the
 appended values r that would complete a pattern (``child_forbidden``).
 A child inherits its parent's mask, shifted with its values, and adds
 the intervals that the anchored prefix search reports for the prefix
-occurrences ending at its own last entry; the walk fetches the set's
-compiled search, ``perms.anchored_kernel``, once.  The children are the
-clear bits, taken lowest first, so the last level is counted from its
-parents' frontiers by popcount without being visited; unless avoiders are
-listed, the level above it is visited in its parents' loops and opens no
-frame of its own.  Memory is O(n^2) whatever n is.  The board walk of
+occurrences ending at its own last entry.  Most children have none, so
+each node carries a second mask, the gate: the frontier of the set's
+nonempty prefixes, made the same way.  Its bit r is set exactly when a
+prefix occurrence ends at the new entry of the child made by appending
+r, so only those children run the set's search, and every other child
+takes the shifted mask.  A full gate stays full under the shift, so a
+node whose gate is full runs no gate search.  The walk fetches both
+compiled searches, ``perms.anchored_kernel``, once.  The children are
+the clear bits, taken lowest first, so the last level is counted from
+its parents' frontiers by popcount without being visited; unless
+avoiders are listed, the level above it is visited in its parents' loops
+and opens no frame of its own, and an ungated child there builds no
+tuple.  Memory is O(n^2) whatever n is.  The board walk of
 ``boards`` carries the same frontier over absolute rows.  All counts are
 exact Python integers, so there is no overflow to detect.
 
@@ -57,6 +64,7 @@ from .perms import (
     PatternSet,
     Perm,
     Kernel,
+    PrefixTable,
     all_perms,
     anchored_kernel,
     avoids_all,
@@ -113,6 +121,13 @@ class EquivalenceReport:
 BUDGET_CAP = 14
 
 
+def _shifted(mask: int, r: int) -> int:
+    """The mask a child made by appending r inherits from its parent's:
+    bits below r stay, bit r is doubled and the bits above move up one,
+    as the values >= r do.  A full mask stays full."""
+    return mask & ((2 << r) - 1) | mask >> r << r + 1
+
+
 def child_forbidden(kernel: Kernel, forbidden: int, child: Perm) -> int:
     """
     The frontier of ``child`` in the avoider tree: bit r is set iff
@@ -121,22 +136,40 @@ def child_forbidden(kernel: Kernel, forbidden: int, child: Perm) -> int:
     parent's frontier and the child was made by appending its last entry
     to the parent; the root is ``child_forbidden(kernel, 0, ())``.
 
-    The shift maps an occurrence's interval (A, B] onto the child's: bits
-    below the appended r stay, bit r is doubled and the bits above move
-    up one.  Then each prefix occurrence ending at the new entry adds its
-    interval.
+    The shift (``_shifted``) maps an occurrence's interval (A, B] onto
+    the child's.  Then each prefix occurrence ending at the new entry
+    adds its interval.
 
-    >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
+    The walk keeps two such masks per node, both made here: the set's
+    frontier, and the gate, the frontier of the set's nonempty prefixes.
+    Bit r of the gate is set exactly when the set's kernel finds a prefix
+    occurrence ending at the new entry of the child made by appending r,
+    so a child whose bit is clear takes the shifted frontier and runs no
+    kernel.  A full gate stays full under the shift, so a node whose gate
+    is full runs no gate search.  For {123, 132} the gate is the frontier
+    of {12}: of the children of (1,), only (1, 2) ends an occurrence.
+
+    >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
+    >>> kernel = anchored_kernel(table)
     >>> root = child_forbidden(kernel, 0, ())
     >>> bin(child_forbidden(kernel, child_forbidden(kernel, root, (1,)), (1, 2)))
     '0b1100'
+    >>> gate = _gate_kernel(table)
+    >>> bin(child_forbidden(gate, child_forbidden(gate, 0, ()), (1,)))
+    '0b100'
     """
     if child:
-        r = child[-1]
-        forbidden = forbidden & ((2 << r) - 1) | forbidden >> r << r + 1
+        forbidden = _shifted(forbidden, child[-1])
     for a, b, _ in kernel(child, len(child) + 1):
         forbidden |= (2 << b) - (2 << a)
     return forbidden
+
+
+def _gate_kernel(table: PrefixTable) -> Kernel:
+    """The gate's kernel: the anchored search of the table's nonempty
+    prefixes q, whose occurrences ending at a new entry are exactly where
+    the table's own kernel finds something."""
+    return anchored_kernel(prefix_table(q for q, _ in table if q))
 
 
 def _extension_walk(
@@ -146,21 +179,29 @@ def _extension_walk(
     extension tree; the avoiders of length n_max go into ``leaves``, in
     lexicographic order of insertion codes.  A node's children are the
     clear bits of its frontier, lowest first, so the last level is counted
-    from its parents' frontiers, and listed only for leaves."""
+    from its parents' frontiers, and listed only for leaves.  A child runs
+    the set's kernel only where its parent's gate is set."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     patterns = frozenset(patterns)
-    kernel = anchored_kernel(prefix_table(patterns))
+    table = prefix_table(patterns)
+    kernel, gate_kernel = anchored_kernel(table), _gate_kernel(table)
     counts = [0] * n_max
 
-    def grow(w: Perm, forbidden: int) -> None:
+    def grow(w: Perm, forbidden: int, gate: int) -> None:
         n = len(w) + 1
-        free = ~forbidden & ((2 << n) - 2)
+        full = (2 << n) - 2
+        free = ~forbidden & full
         counts[n - 1] += free.bit_count()
         if n == n_max and leaves is None:
             return
         # without leaves, each child's children are counted here, in no frame of its own
         count_below = n == n_max - 1 and leaves is None
+        if count_below and gate != full:
+            # an ungated child inherits the frontier shifted past its own clear
+            # bit r, so it has one free entry more than its parent: no tuple
+            counts[n] += (free & ~gate).bit_count() * (free.bit_count() + 1)
+            free &= gate
         while free:
             low = free & -free
             free ^= low
@@ -171,10 +212,16 @@ def _extension_walk(
             elif count_below:
                 counts[n] += (~child_forbidden(kernel, forbidden, child) & ((4 << n) - 2)).bit_count()
             else:
-                grow(child, child_forbidden(kernel, forbidden, child))
+                # a full gate stays full, and the leaves' parents read no gate
+                grow(
+                    child,
+                    child_forbidden(kernel, forbidden, child) if gate & low else _shifted(forbidden, r),
+                    (4 << n) - 2 if gate == full or n == n_max - 1
+                    else child_forbidden(gate_kernel, gate, child),
+                )
 
     if n_max:
-        grow((), child_forbidden(kernel, 0, ()))
+        grow((), child_forbidden(kernel, 0, ()), child_forbidden(gate_kernel, 0, ()))
     elif leaves is not None and () not in patterns:
         leaves.append(())  # the empty permutation avoids every nonempty pattern
     return counts

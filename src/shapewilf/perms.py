@@ -207,8 +207,10 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # only the prefix occurrences ending at the node's own last entry, and the
 # rest are inherited from the parent's frontier.
 #
-# The anchored search runs at every node of both walks and each call does
-# little search, so its cost is interpreter overhead.  ``anchored_kernel``
+# The anchored search runs at every node of the board walk, and at the
+# nodes of the avoider walk where a prefix occurrence ends: there a second
+# search, over the set's prefixes, marks those nodes in advance.  Each call
+# does little search, so its cost is interpreter overhead.  ``anchored_kernel``
 # therefore compiles each prefix table once into one function of straight
 # nested loops: the anchor is chosen first, each free position of a prefix
 # is a ``for`` loop over a local variable, bounded by one chained
@@ -287,7 +289,8 @@ def anchored_intervals(
     absolute rows, in (A, B] when appending r shifts the values >= r up.
 
     This runs the table's compiled kernel; a walk fetches it once with
-    ``anchored_kernel`` and calls it at every node.
+    ``anchored_kernel`` and calls it at every node where it may find an
+    occurrence.
 
     >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
     >>> anchored_intervals(table, (1, 2), 3)  # the children 132 and 123
@@ -312,7 +315,9 @@ def anchored_kernel(table: PrefixTable) -> Kernel:
     top)``.  Kernels are kept per table, so per pattern set; the cache
     drops its least recently used kernel past 256.  Each kernel's code
     filename is ``<anchored_kernel N>``, N counting compiles, so a profile
-    keeps kernels apart; it holds no value of the table.
+    keeps kernels apart; it holds no value of the table.  The avoider walk
+    of a set uses two kernels: the set's table's, and its gate's, the
+    table of the set's nonempty prefixes q.
 
     >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
     >>> kernel((1, 2), 3), kernel((), 1)

@@ -192,13 +192,13 @@ def test_time_budget_zero_keeps_n_rows(capsys):
 
 
 def test_time_budget_starts_no_level_it_cannot_finish(capsys):
-    # the n=10 hub count costs about 7 times the n=9 one, far above 0.5 s
+    # the n=11 hub count costs about 8 times the n=10 one, far above 0.5 s
     code, out, _ = run(
         capsys, "--time-budget", "0.5", "--format", "csv",
-        "count-av", "--set", "{12345,12354}", "--n", "9",
+        "count-av", "--set", "{12345,12354}", "--n", "10",
     )
     assert code == 0
-    assert len(out.splitlines()[1:]) == 9
+    assert len(out.splitlines()[1:]) == 10
 
 
 def test_time_budget_extends_counts_up_to_the_cap(capsys):

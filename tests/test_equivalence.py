@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapewilf.perms import (
-    all_perms, avoids_all, format_pattern_set, parse_pattern_set, set_apply_ops,
+    all_perms, anchored_kernel, avoids_all, format_pattern_set, parse_pattern_set,
+    prefix_table, set_apply_ops,
 )
 from shapewilf.boards import (
     Filling,
@@ -23,6 +24,7 @@ from shapewilf.equivalence import (
     ExpressionError,
     avoider_counts,
     avoiders,
+    child_forbidden,
     count_avoiders,
     count_avoiders_naive,
     counts_within_budget,
@@ -126,6 +128,93 @@ def test_cached_counts_match_naive_on_every_orbit_member(patterns):
         assert counts == [count_avoiders_naive(member, n) for n in range(1, 7)], member
         # an uncached walk of this orientation agrees with its class's list
         assert equivalence._extension_walk(member, 6) == counts, member
+
+
+@given(
+    st.frozensets(
+        st.integers(min_value=0, max_value=5).flatmap(
+            lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(min_value=0, max_value=7).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+    ),
+)
+@settings(max_examples=150)
+def test_the_gate_is_set_exactly_where_the_set_kernel_finds_something(patterns, w):
+    # along w's prefixes, bit r of the gate is set iff the set's kernel on
+    # the child made by appending r returns a nonempty list
+    table = prefix_table(patterns)
+    kernel = anchored_kernel(table)
+    gate = child_forbidden(equivalence._gate_kernel(table), 0, ())
+    for i in range(len(w) + 1):
+        prefix = tuple(sorted(w[:i]).index(v) + 1 for v in w[:i])
+        if prefix:
+            gate = child_forbidden(equivalence._gate_kernel(table), gate, prefix)
+        n = i + 1
+        assert gate >> n + 1 == 0
+        for r in range(1, n + 1):
+            child = (*[v + 1 if v >= r else v for v in prefix], r)
+            assert bool(gate >> r & 1) == bool(kernel(child, n + 1)), (prefix, r)
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        frozenset({(), (1, 2)}),
+        frozenset({(1,)}),
+        frozenset({(1,), (2, 1, 3)}),
+        frozenset({(1, 2), (3, 1, 2, 4)}),
+        parse_pattern_set("{2413,3142}"),
+        parse_pattern_set("{123,132,213}"),
+    ],
+)
+def test_gated_walk_where_the_gate_holds_the_empty_prefix_or_goes_full(patterns):
+    naive = [count_avoiders_naive(patterns, n) for n in range(8)]
+    assert equivalence._extension_walk(patterns, 7) == naive[1:]
+    for n in range(8):
+        assert count_avoiders(patterns, n) == naive[n], n
+        assert len(avoiders(patterns, n)) == naive[n], n
+
+
+# the sets and sizes of the benchmark's wilf-count workload
+WILF_COUNT_SETS = [
+    ("{12345,12354}", 8), ("{45123,45213}", 8), ("{13452,23451}", 7),
+    *((text, 7) for text in (
+        "{12354,12435}", "{12354,12453}", "{12354,21354}", "{12435,12453}",
+        "{12453,12534}", "{12453,12543}", "{12543,21543}", "{13254,21354}",
+        "{13254,23154}", "{21354,21453}", "{21453,21534}",
+    )),
+    ("{1324}", 8),
+]
+
+
+def test_gated_walk_runs_the_set_kernel_only_where_it_finds_something(monkeypatch):
+    # one walk of each set: after the root, every set-kernel call finds a
+    # prefix occurrence; the ungated walk made 23 459 set-kernel calls
+    kinds = {}
+    calls = {"set": 0, "gate": 0}
+    empty = []
+    frontier = equivalence.child_forbidden
+
+    def counted(kernel, forbidden, child):
+        kind = kinds[kernel]
+        calls[kind] += 1
+        if kind == "set" and child and not kernel(child, len(child) + 1):
+            empty.append(child)
+        return frontier(kernel, forbidden, child)
+
+    monkeypatch.setattr(equivalence, "child_forbidden", counted)
+    for text, n in WILF_COUNT_SETS:
+        patterns = parse_pattern_set(text)
+        table = prefix_table(patterns)
+        kinds[anchored_kernel(table)] = "set"
+        kinds[equivalence._gate_kernel(table)] = "gate"
+        equivalence._extension_walk(patterns, n)
+    assert empty == []
+    assert calls == {"set": 7628, "gate": 4121}
 
 
 def test_one_walk_per_symmetry_class(monkeypatch):
