@@ -42,8 +42,12 @@ Avoider counts do not change under reverse, complement and inverse, so
 ``avoider_counts`` keeps, per process, the longest count list walked for
 each symmetry class, keyed by ``trivial_symmetry_class``, with the
 seconds that walk took.  A call whose n_max the list covers gets a slice
-of it; any other call walks the set as given and stores the longer
-list.  Listings (``avoiders``) are not cached, so memory stays bounded.
+of it; any other call walks one member of the orbit and stores the
+longer list.  Every member visits the same nodes, but a member whose
+patterns share fewer prefixes runs a kernel of fewer loop nests at each,
+so the walk takes the set as given unless a member has strictly fewer
+distinct prefixes, and then the first member with the fewest.
+Listings (``avoiders``) are not cached, so memory stays bounded.
 Nor are board counts: reverse and complement change them, and only
 inverse together with transposing the board preserves them.
 
@@ -240,14 +244,17 @@ def avoiders(patterns: Iterable[Perm], n: int) -> list[Perm]:
     return leaves
 
 
-# symmetry class -> (counts for n = 1..len, seconds the walk took)
+# symmetry class -> (counts for n = 1..len, seconds the walk took); the walk
+# was of the member with the fewest prefixes, the set as given on a tie
 _class_counts: dict[PatternSet, tuple[list[int], float]] = {}
 
 
 def avoider_counts(patterns: Iterable[Perm], n_max: int) -> list[int]:
     """
     Counts of avoiders for n = 1..n_max, served from the symmetry class's
-    cached list when it reaches n_max.
+    cached list when it reaches n_max.  A miss walks the orbit member that
+    ``_walked_member`` picks: all members have the same counts, and one
+    with fewer distinct prefixes runs a smaller kernel at every node.
 
     >>> avoider_counts({(1, 2, 3, 4, 5), (1, 2, 3, 5, 4)}, 5)
     [1, 2, 6, 24, 118]
@@ -255,13 +262,26 @@ def avoider_counts(patterns: Iterable[Perm], n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
     patterns = frozenset(patterns)
-    key = trivial_symmetry_class(patterns)
-    counts = _class_counts.get(key, ([], 0.0))[0]
+    orbit = symmetry_orbit(patterns)  # its first member keys the class
+    counts = _class_counts.get(orbit[0], ([], 0.0))[0]
     if len(counts) < n_max:
         start = time.perf_counter()
-        counts = _extension_walk(patterns, n_max)
-        _class_counts[key] = (counts, time.perf_counter() - start)
+        counts = _extension_walk(_walked_member(patterns, orbit), n_max)
+        _class_counts[orbit[0]] = (counts, time.perf_counter() - start)
     return counts[:n_max]
+
+
+def _walked_member(patterns: PatternSet, orbit: list[PatternSet]) -> PatternSet:
+    """The member of ``patterns``' orbit that a cache miss walks: the set
+    as given, unless a member has strictly fewer distinct prefixes; then
+    the first member in orbit order with the fewest.
+
+    >>> given = evaluate_set_expression("{45123,45213}")
+    >>> format_pattern_set(_walked_member(given, symmetry_orbit(given)))
+    '{21534,21543}'
+    """
+    fewest = min(orbit, key=lambda member: len(prefix_table(member)))
+    return fewest if len(prefix_table(fewest)) < len(prefix_table(patterns)) else patterns
 
 
 def count_avoiders(patterns: Iterable[Perm], n: int) -> int:

@@ -1,4 +1,5 @@
 """Counting engines, equivalence tables, symmetry machinery."""
+import unittest.mock
 from types import SimpleNamespace
 
 import pytest
@@ -217,6 +218,63 @@ def test_gated_walk_runs_the_set_kernel_only_where_it_finds_something(monkeypatc
     assert calls == {"set": 7628, "gate": 4121}
 
 
+def test_each_class_walks_its_member_with_the_fewest_prefixes(monkeypatch):
+    # the wilf-count classes from a cold cache; walking each set as given
+    # makes 7 628 set-kernel calls (above), and no call after the root is empty
+    kinds = {}
+    calls = {"set": 0, "gate": 0}
+    empty = []
+    frontier, walk = equivalence.child_forbidden, equivalence._extension_walk
+
+    def counted(kernel, forbidden, child):
+        kind = kinds[kernel]
+        calls[kind] += 1
+        if kind == "set" and child and not kernel(child, len(child) + 1):
+            empty.append(child)
+        return frontier(kernel, forbidden, child)
+
+    def walked(patterns, n_max, leaves=None):
+        table = prefix_table(patterns)
+        kinds[anchored_kernel(table)] = "set"
+        kinds[equivalence._gate_kernel(table)] = "gate"
+        return walk(patterns, n_max, leaves)
+
+    monkeypatch.setattr(equivalence, "child_forbidden", counted)
+    monkeypatch.setattr(equivalence, "_extension_walk", walked)
+    for text, n in WILF_COUNT_SETS:
+        avoider_counts(parse_pattern_set(text), n)
+    assert empty == []
+    assert calls == {"set": 6214, "gate": 4121}
+
+
+@given(st.frozensets(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
+    ),
+    min_size=1,
+    max_size=3,
+))
+@settings(max_examples=100, deadline=None)
+def test_a_miss_walks_the_given_set_unless_a_member_has_fewer_prefixes(patterns):
+    walked = []
+    walk = equivalence._extension_walk
+
+    def recorded(member, n_max, leaves=None):
+        walked.append(member)
+        return walk(member, n_max, leaves)
+
+    equivalence._class_counts.clear()
+    with unittest.mock.patch.object(equivalence, "_extension_walk", recorded):
+        avoider_counts(patterns, 3)
+    orbit = symmetry_orbit(patterns)
+    sizes = {member: len(prefix_table(member)) for member in orbit}
+    [member] = walked
+    assert member in orbit
+    assert sizes[member] == min(sizes.values())
+    if sizes[patterns] == sizes[member]:
+        assert member == patterns
+
+
 def test_one_walk_per_symmetry_class(monkeypatch):
     walks = []
     walk = equivalence._extension_walk
@@ -227,19 +285,22 @@ def test_one_walk_per_symmetry_class(monkeypatch):
 
     monkeypatch.setattr(equivalence, "_extension_walk", counted)
     # two classes, Wilf-equivalent but not by a trivial symmetry; a miss
-    # walks the set as given, not its class's representative
+    # walks the set as given unless a member of its orbit has strictly
+    # fewer distinct prefixes, and then the first member with the fewest:
+    # the hub has one prefix, {45123,45213} two and {21534,21543} one
     texts = ["{12345,12354}", "{12345,12354}^rc", "{45123,45213}", "{21453,21543}"]
     counts = [avoider_counts(evaluate_set_expression(text), 7) for text in texts]
-    assert walks == ["{12345,12354}", "{45123,45213}"]
+    assert walks == ["{12345,12354}", "{21534,21543}"]
     assert counts == [[1, 2, 6, 24, 118, 672, 4256]] * 4
     # a hit is a copy of the stored list, and a longer n_max walks again
     counts[0].append(0)
     assert avoider_counts(HUB, 6) == [1, 2, 6, 24, 118, 672]
     assert avoider_counts(HUB, 8)[-1] == count_avoiders(HUB, 8)
-    assert walks == ["{12345,12354}", "{45123,45213}", "{12345,12354}"]
+    assert walks == ["{12345,12354}", "{21534,21543}", "{12345,12354}"]
 
+    # a miss or a hit builds the orbit first; a negative n builds none
     lookups = []
-    monkeypatch.setattr(equivalence, "trivial_symmetry_class", lookups.append)
+    monkeypatch.setattr(equivalence, "symmetry_orbit", lookups.append)
     with pytest.raises(ValueError):
         avoider_counts(HUB, -1)
     with pytest.raises(ValueError):
