@@ -541,8 +541,9 @@ def verify_bijection(oracle: BijectionOracle, n_max: int) -> VerificationReport:
     of the same board and avoid the target set, the map is injective per
     board, and source/target counts agree (surjectivity).  Stops at the
     first violation.  Each level streams its sources board by board from
-    one ``fillings_by_board`` walk and takes its target counts from one
-    ``filling_counts`` walk.
+    one ``fillings_by_board`` walk, which lists every filling it checks,
+    and takes its target counts from one ``filling_counts`` walk, the
+    counting form that folds the last two columns and lists none.
 
     The avoidance checks are the reference walker's, through
     ``corner_profile``: one permutation fits many boards, so each level

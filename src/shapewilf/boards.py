@@ -22,13 +22,16 @@ rows fill by one comparison per column, and ``filling_avoids_all`` and
 One walk over the trie of column heights generates every filling, so
 boards that share a prefix of heights share each partial filling over
 it; listing, counting and one board's fillings are views of that walk.
+Counting folds the walk's last two columns into ranges of heights, so a
+count builds no filling of those columns, and no frontier for the last.
 
 Text notation: board "[6,6,5,4,3,3]", filling "[6,6,5,4,3,3]/561423".
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import le
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .perms import (
     Kernel, Perm, anchored_kernel, format_perm, inverse, make_perm,
@@ -305,21 +308,69 @@ def child_blocks(kernel: Kernel, blocks: list[int], rows: Sequence[int]) -> list
     return blocks
 
 
-def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
-          ) -> Iterator[tuple[Board, list[Perm]]]:
+def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board], count: bool = False
+          ) -> Iterator[tuple[Board, Union[list[Perm], int]]]:
     """The board walk of ``fillings_by_board``; ``board`` pins each
-    column's height to its own."""
+    column's height to its own.  With ``count`` it yields each board's
+    number of avoiders instead of their rows, in the same order, and for
+    n >= 2 it folds the last two columns into counts.  At column n - 1 a
+    partial filling has two free rows, and its child that places r there
+    leaves one, ``last``.  Of that child's frontier only the entry at
+    ``last`` matters: B, the parent's entry lowered by the ``high`` of
+    each triple of the set's kernel on the child's rows whose interval
+    holds ``last``.  For each height h that column may take, from the
+    floor to the top, the last column may then take every height from
+    ``last`` (its floor) to min(h, B - 1) (its top).  So the node adds one
+    range per h to a difference array for h, builds no child frontier and
+    opens no frame for the last column; the prefix sums are read at the
+    heights ``descend`` gives the last column, only ``board[-1]`` when
+    pinned."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
-        yield (), [] if () in avoid else [()]  # the empty board's one filling
+        listed = [] if () in avoid else [()]  # the empty board's one filling
+        yield (), len(listed) if count else listed
         return
     kernel = anchored_kernel(prefix_table(avoid))
+
+    def fold(prefix: Board, lo: int, hi: int, partials: list):
+        # ranges[h][t] sums to the count of the board prefix + (h, t)
+        ranges = [[0] * (h + 2) for h in range(hi + 1)]
+        for rows, free, blocks in partials:
+            bits = free & ((2 << hi) - 1)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                r = low.bit_length() - 1
+                last = (free ^ low).bit_length() - 1
+                floor = r if last < r else last
+                if floor < lo:
+                    floor = lo
+                top = hi if blocks[r] > hi else blocks[r] - 1
+                if floor <= top:
+                    block = blocks[last]
+                    for a, b, high in kernel(rows + (r,), n + 1):
+                        if a < last < b and high < block:
+                            block = high
+                    if last < block:
+                        for h in range(floor, top + 1):
+                            at = ranges[h]
+                            at[last] += 1
+                            at[h + 1 if h < block else block] -= 1
+        for h in range(hi, lo - 1, -1):
+            counts = list(accumulate(ranges[h]))
+            # the heights descend gives the last column
+            least, most = (max(1, board[-1]), min(h, board[-1])) if board else (1, h)
+            for t in range(most, least - 1, -1):
+                yield prefix + (h, t), counts[t]
 
     def descend(prefix: Board, cap: int, partials: list):
         c = len(prefix)
         # column c+1 needs height >= n - c to keep the staircase
         lo, hi = (max(n - c, board[c]), min(cap, board[c])) if board else (n - c, cap)
+        if count and c == n - 2:
+            yield from fold(prefix, lo, hi, partials)
+            return
         below: list[list] = [[] for _ in range(hi + 1)]
         for rows, free, blocks in partials:
             bits = free & ((2 << hi) - 1)
@@ -340,7 +391,7 @@ def _walk(n: int, avoid: Iterable[Perm], board: Optional[Board]
                         below[h].append(child)
         for h in range(hi, lo - 1, -1):
             if c == n - 1:
-                yield prefix + (h,), below[h]
+                yield prefix + (h,), len(below[h]) if count else below[h]
             else:
                 yield from descend(prefix + (h,), h, below[h])
 
@@ -363,12 +414,16 @@ def fillings(board: Board, avoid: Iterable[Perm] = ()) -> Iterator[Filling]:
 
 def count_fillings(board: Board, avoid: Iterable[Perm] = ()) -> int:
     """
+    The number of fillings of the board avoiding ``avoid``: the counting
+    board walk with every height pinned to the board's, which lists no
+    filling.
+
     >>> count_fillings((3, 3, 1))
     2
     >>> count_fillings((3, 3, 3), {(1, 2, 3), (2, 1, 3)})
     4
     """
-    return sum(len(listed) for _, listed in _walk(len(board), avoid, board))
+    return sum(count for _, count in _walk(len(board), avoid, board, True))
 
 
 def fillings_by_board(n: int, avoid: Iterable[Perm] = ()) -> Iterator[tuple[Board, list[Perm]]]:
@@ -399,14 +454,16 @@ def fillings_by_board(n: int, avoid: Iterable[Perm] = ()) -> Iterator[tuple[Boar
 def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
     """
     Avoiding-filling counts on every board with n columns, keyed in
-    ``enumerate_boards(n)`` order; boards with no avoider map to 0.
+    ``enumerate_boards(n)`` order; boards with no avoider map to 0.  The
+    walk of ``fillings_by_board`` in its counting form: the last two
+    columns are folded into ranges of heights, never listed.
 
     >>> filling_counts(3)
     {(3, 3, 3): 6, (3, 3, 2): 4, (3, 3, 1): 2, (3, 2, 2): 2, (3, 2, 1): 1}
     >>> list(filling_counts(3, {(1, 2, 3), (2, 1, 3)}).values())
     [4, 4, 2, 2, 1]
     """
-    return {board: len(listed) for board, listed in fillings_by_board(n, avoid)}
+    return dict(_walk(n, avoid, None, True))
 
 
 def transversal_count_formula(board: Board) -> int:

@@ -333,3 +333,42 @@ def test_filling_counts_keys_are_the_boards_in_order():
         list(fillings_by_board(-1))
     with pytest.raises(ValueError):
         enumerate_boards(-1)
+
+
+# Counting folds the last two columns into ranges of heights; these sets
+# have patterns of every length 0-5.  At n = 2 the fold runs at the root,
+# where {21,123} is decided by 21 alone.
+FOLD_SETS = [
+    frozenset(),
+    frozenset({()}),
+    parse_pattern_set("{1}"),
+    parse_pattern_set("{12}"),
+    parse_pattern_set("{21}"),
+    parse_pattern_set("{21,123}"),
+    parse_pattern_set("{132,4321}"),
+    parse_pattern_set("{2413,3142}"),
+    parse_pattern_set("{12345,12354}"),
+    parse_pattern_set("{31245,32145}"),
+]
+
+
+@pytest.mark.parametrize("patterns", FOLD_SETS, ids=lambda s: "{" + ",".join(
+    "".join(map(str, p)) or "()" for p in sorted(s)) + "}")
+def test_folded_counts_match_brute_force(patterns):
+    for n in range(0, 6):
+        expected = {
+            board: sum(1 for w in brute_force_fillings(board)
+                       if filling_avoids_all(Filling(board, w), patterns))
+            for board in enumerate_boards(n)
+        }
+        assert list(filling_counts(n, patterns).items()) == list(expected.items()), n
+        for board, count in expected.items():
+            assert count_fillings(board, patterns) == count, board
+
+
+def test_count_fillings_equals_the_listing_on_every_board():
+    for patterns in [*TARGETS, parse_pattern_set("{1}")]:
+        for n in range(0, 7):
+            for board in enumerate_boards(n):
+                listed = list(fillings(board, patterns))
+                assert count_fillings(board, patterns) == len(listed), (board, patterns)

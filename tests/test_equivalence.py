@@ -19,7 +19,7 @@ from shapewilf.boards import (
     fillings_by_board,
     square_board,
 )
-from shapewilf import bijections, equivalence
+from shapewilf import bijections, boards, equivalence
 from shapewilf.equivalence import (
     BUDGET_CAP,
     ExpressionError,
@@ -334,6 +334,44 @@ def test_every_engine_at_size_0_agrees_with_the_naive_oracle(patterns):
     assert filling_counts(0, patterns) == {(): expected}
     assert len(list(fillings((), patterns))) == expected
     assert count_fillings((), patterns) == expected
+
+
+# the five operations of one shape-wilf benchmark pass: (left, right, n)
+SHAPE_WILF_TABLES = [
+    ("{31245,32145}", "{12345,21345}", 6),
+    ("{12453,12543}", "{21453,21543}", 6),
+    ("{2341,2431,3241,3421,4231,4321}", "{2314,2413,3214,3412,4213,4312}", 5),
+    ("{231,321}", "{213,312}", 6),
+]
+SHAPE_WILF_NEGATIVE_CONTROL = ("{213,312}", "{123,132}", 6)
+
+
+def test_board_counts_fold_the_last_two_columns_without_their_frontiers(monkeypatch):
+    # listing the last column and building each child frontier at column
+    # n - 1 made 16 004 child_blocks calls; the fold still runs the set's
+    # kernel once per child there, for the one frontier entry it reads
+    calls = {"child_blocks": 0, "kernel": 0}
+    frontier, compiled = boards.child_blocks, boards.anchored_kernel
+
+    def counted_frontier(kernel, blocks, rows):
+        calls["child_blocks"] += 1
+        return frontier(kernel, blocks, rows)
+
+    def counted_kernel(table):
+        kernel = compiled(table)
+
+        def counted(rows, top):
+            calls["kernel"] += 1
+            return kernel(rows, top)
+        return counted
+
+    monkeypatch.setattr(boards, "child_blocks", counted_frontier)
+    monkeypatch.setattr(boards, "anchored_kernel", counted_kernel)
+    for left, right, n in SHAPE_WILF_TABLES:
+        assert shape_wilf_table(parse_pattern_set(left), parse_pattern_set(right), n).equal
+    left, right, n = SHAPE_WILF_NEGATIVE_CONTROL
+    assert find_shape_wilf_divergence(parse_pattern_set(left), parse_pattern_set(right), n)
+    assert calls == {"child_blocks": 5000, "kernel": 16004}
 
 
 def test_count_fillings_on_square_equals_avoider_count():
