@@ -38,7 +38,6 @@ from .boards import (
     Board,
     Filling,
     OutOfBoardError,
-    admits_filling,
     board_from_row_lengths,
     count_fillings,
     enumerate_boards,
@@ -72,7 +71,6 @@ from .bijections import (
 from .equivalence import (
     EquivalenceReport,
     avoider_counts,
-    avoiders,
     count_avoiders,
     count_avoiders_naive,
     evaluate_oracle_expression,

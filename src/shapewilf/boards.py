@@ -103,31 +103,8 @@ def board_from_row_lengths(lengths: Iterable[int]) -> Board:
     return tuple(sum(1 for r in rows if r >= i) for i in range(1, rows[0] + 1))
 
 
-def cell_in_board(board: Board, column: int, row: int) -> bool:
-    """Is the unit square with 1-based coordinates (column, row) in the board?"""
-    return 1 <= column <= len(board) and 1 <= row <= board[column - 1]
-
-
 def square_board(n: int) -> Board:
     return (n,) * n
-
-
-def admits_filling(board: Board) -> bool:
-    """
-    True iff the board has a transversal: as many rows as columns and
-    every column tall enough to contain the staircase.
-
-    >>> admits_filling((3, 2, 1))
-    True
-    >>> admits_filling((2, 2, 2))
-    False
-    >>> admits_filling((3, 1, 1))
-    False
-    """
-    m = len(board)
-    if m == 0:
-        return True
-    return board[0] == m and all(board[i] >= m - i for i in range(m))
 
 
 def enumerate_boards(n: int) -> list[Board]:
@@ -469,14 +446,19 @@ def filling_counts(n: int, avoid: Iterable[Perm] = ()) -> dict[Board, int]:
 def transversal_count_formula(board: Board) -> int:
     """
     Closed-form transversal count for boards with no patterns forbidden:
-    the product over i of (height of column m+1-i, minus i-1).
+    the product over i of (height of column m+1-i, minus i-1), and 0 for
+    a board with more or fewer rows than columns.
 
     >>> transversal_count_formula((3, 2, 1))
     1
     >>> transversal_count_formula((3, 3, 3))
     6
+    >>> transversal_count_formula((4, 4, 4))
+    0
     """
     m = len(board)
+    if board and board[0] != m:
+        return 0
     total = 1
     for i in range(1, m + 1):
         factor = board[m - i] - (i - 1)

@@ -24,10 +24,10 @@ takes the shifted mask.  A full gate stays full under the shift, so a
 node whose gate is full runs no gate search.  The walk fetches both
 compiled searches, ``perms.anchored_kernel``, once.  The children are
 the clear bits, taken lowest first, so the last level is counted from
-its parents' frontiers by popcount without being visited; unless
-avoiders are listed, the level above it is visited in its parents' loops
-and opens no frame of its own, and an ungated child there builds no
-tuple.  Memory is O(n^2) whatever n is.  The board walk of
+its parents' frontiers by popcount without being visited; the level
+above it is visited in its parents' loops and opens no frame of its own,
+and an ungated child there builds no tuple.  The walk counts and lists
+nothing.  Memory is O(n^2) whatever n is.  The board walk of
 ``boards`` carries the same frontier over absolute rows.  All counts are
 exact Python integers, so there is no overflow to detect.
 
@@ -47,9 +47,8 @@ longer list.  Every member visits the same nodes, but a member whose
 patterns share fewer prefixes runs a kernel of fewer loop nests at each,
 so the walk takes the set as given unless a member has strictly fewer
 distinct prefixes, and then the first member with the fewest.
-Listings (``avoiders``) are not cached, so memory stays bounded.
-Nor are board counts: reverse and complement change them, and only
-inverse together with transposing the board preserves them.
+Board counts are not cached: reverse and complement change them, and
+only inverse together with transposing the board preserves them.
 
 A Wilf or shape-Wilf table is a list of ``Row``s, one per n or per
 board, built by one loop that records the first unequal row as the
@@ -176,18 +175,14 @@ def _gate_kernel(table: PrefixTable) -> Kernel:
     return anchored_kernel(prefix_table(q for q, _ in table if q))
 
 
-def _extension_walk(
-    patterns: Iterable[Perm], n_max: int, leaves: Optional[list] = None
-) -> list[int]:
+def _extension_walk(patterns: Iterable[Perm], n_max: int) -> list[int]:
     """Counts of avoiders for n = 1..n_max, by one depth-first walk of the
-    extension tree; the avoiders of length n_max go into ``leaves``, in
-    lexicographic order of insertion codes.  A node's children are the
-    clear bits of its frontier, lowest first, so the last level is counted
-    from its parents' frontiers, and listed only for leaves.  A child runs
-    the set's kernel only where its parent's gate is set."""
+    extension tree.  A node's children are the clear bits of its frontier,
+    lowest first, so level n_max is counted from its parents' frontiers by
+    popcount, and level n_max - 1 in its parents' loops, opening no frame.
+    A child runs the set's kernel only where its parent's gate is set."""
     if n_max < 0:
         raise ValueError(f"n must be >= 0, got {n_max}")
-    patterns = frozenset(patterns)
     table = prefix_table(patterns)
     kernel, gate_kernel = anchored_kernel(table), _gate_kernel(table)
     counts = [0] * n_max
@@ -197,10 +192,10 @@ def _extension_walk(
         full = (2 << n) - 2
         free = ~forbidden & full
         counts[n - 1] += free.bit_count()
-        if n == n_max and leaves is None:
+        if n == n_max:
             return
-        # without leaves, each child's children are counted here, in no frame of its own
-        count_below = n == n_max - 1 and leaves is None
+        # each child's children are counted here, in no frame of its own
+        count_below = n == n_max - 1
         if count_below and gate != full:
             # an ungated child inherits the frontier shifted past its own clear
             # bit r, so it has one free entry more than its parent: no tuple
@@ -211,37 +206,19 @@ def _extension_walk(
             free ^= low
             r = low.bit_length() - 1
             child = (*[v + 1 if v >= r else v for v in w], r)
-            if n == n_max:
-                leaves.append(child)
-            elif count_below:
+            if count_below:
                 counts[n] += (~child_forbidden(kernel, forbidden, child) & ((4 << n) - 2)).bit_count()
             else:
-                # a full gate stays full, and the leaves' parents read no gate
+                # a full gate stays full
                 grow(
                     child,
                     child_forbidden(kernel, forbidden, child) if gate & low else _shifted(forbidden, r),
-                    (4 << n) - 2 if gate == full or n == n_max - 1
-                    else child_forbidden(gate_kernel, gate, child),
+                    (4 << n) - 2 if gate == full else child_forbidden(gate_kernel, gate, child),
                 )
 
     if n_max:
         grow((), child_forbidden(kernel, 0, ()), child_forbidden(gate_kernel, 0, ()))
-    elif leaves is not None and () not in patterns:
-        leaves.append(())  # the empty permutation avoids every nonempty pattern
     return counts
-
-
-def avoiders(patterns: Iterable[Perm], n: int) -> list[Perm]:
-    """
-    All permutations of length n avoiding every given pattern, by the
-    depth-first extension walk.
-
-    >>> sorted(avoiders({(1, 2, 3)}, 3))
-    [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    """
-    leaves: list[Perm] = []
-    _extension_walk(patterns, n, leaves)
-    return leaves
 
 
 # symmetry class -> (counts for n = 1..len, seconds the walk took); the walk
@@ -294,7 +271,7 @@ def count_avoiders(patterns: Iterable[Perm], n: int) -> int:
     >>> count_avoiders({(1, 2)}, 3)
     1
     """
-    return avoider_counts(patterns, n)[-1] if n else len(avoiders(patterns, 0))
+    return avoider_counts(patterns, n)[-1] if n else int(() not in frozenset(patterns))
 
 
 def check_time_budget(budget: Optional[float]) -> None:

@@ -193,11 +193,11 @@ def set_direct_sum(left: Iterable[Perm], right: Iterable[Perm]) -> PatternSet:
 # Both searches choose pattern positions left to right with pruning: by
 # order-isomorphism, the value at pattern position j is bounded only by the
 # values chosen for its nearest smaller and nearest larger entries among
-# the positions already chosen.  The anchored prefix search drives the
-# generators; the reference walker is what they are checked against, so
-# the two share nothing else.  The walker answers two questions,
-# ``contains`` (it stops at the first occurrence) and ``occurrences`` (it
-# lists every one).
+# the positions already chosen.  The anchored prefix search,
+# ``anchored_kernel``, drives the generators; the reference walker is what
+# they are checked against, so the two share nothing else.  The walker
+# answers two questions, ``contains`` (it stops at the first occurrence)
+# and ``occurrences`` (it lists every one).
 #
 # Both generators grow a word one last entry at a time, and a pattern p
 # occurs ending at a new last entry r exactly when some occurrence of its
@@ -271,36 +271,6 @@ def prefix_table(patterns: Iterable[Perm]) -> PrefixTable:
     return tuple((q, tuple(sorted(ends))) for q, ends in sorted(groups.items()))
 
 
-def anchored_intervals(
-    table: PrefixTable, rows: Sequence[int], top: int
-) -> list[tuple[int, int, int]]:
-    """
-    Engine kernel of both generators.  For every occurrence of a prefix
-    q in ``rows`` that ends at the last entry (in the empty word, the
-    empty occurrence) and every pattern p with that prefix: (A, B, high),
-    where A and B are the values of the entries that play p_k - 1 and
-    p_k + 1 (0 and ``top`` when there is none) and high is the
-    occurrence's highest value (0 when empty).  The triples come prefix
-    by prefix in table order, occurrences in lexicographic order of their
-    positions.  ``rows`` holds distinct values in 1..top - 1.
-
-    A new last entry completes p after that occurrence exactly when it
-    lies between A and B: in the open interval (A, B) when values are
-    absolute rows, in (A, B] when appending r shifts the values >= r up.
-
-    This runs the table's compiled kernel; a walk fetches it once with
-    ``anchored_kernel`` and calls it at every node where it may find an
-    occurrence.
-
-    >>> table = prefix_table({(1, 2, 3), (1, 3, 2)})
-    >>> anchored_intervals(table, (1, 2), 3)  # the children 132 and 123
-    [(1, 2, 2), (2, 3, 2)]
-    >>> anchored_intervals(table, (2, 1), 3)
-    []
-    """
-    return anchored_kernel(table)(rows, top)
-
-
 # CPython refuses more than 20 statically nested blocks in one function,
 # so a prefix with more free positions goes on in a chained function
 _LOOPS_PER_FUNCTION = 16
@@ -310,18 +280,30 @@ _kernels_compiled = itertools.count(1)
 @lru_cache(maxsize=256)
 def anchored_kernel(table: PrefixTable) -> Kernel:
     """
-    The table's anchored prefix search compiled into one function:
-    ``anchored_kernel(table)(rows, top) == anchored_intervals(table, rows,
-    top)``.  Kernels are kept per table, so per pattern set; the cache
-    drops its least recently used kernel past 256.  Each kernel's code
-    filename is ``<anchored_kernel N>``, N counting compiles, so a profile
-    keeps kernels apart; it holds no value of the table.  The avoider walk
-    of a set uses two kernels: the set's table's, and its gate's, the
-    table of the set's nonempty prefixes q.
+    Engine kernel of both generators: the table's anchored prefix search
+    compiled into one function.  ``anchored_kernel(table)(rows, top)``
+    lists, for every occurrence of a prefix q in ``rows`` that ends at the
+    last entry (in the empty word, the empty occurrence) and every pattern
+    p with that prefix, (A, B, high): the values of the entries that play
+    p_k - 1 and p_k + 1 (0 and ``top`` for none) and the occurrence's
+    highest value (0 when empty), prefix by prefix in table order and
+    occurrences in lexicographic order of positions.  ``rows`` holds
+    distinct values in 1..top - 1.  A new last entry completes p after
+    that occurrence exactly when it lies between A and B: in (A, B) when
+    values are absolute rows, in (A, B] when appending r shifts the
+    values >= r up.
+
+    Kernels are kept per table, so per pattern set; the cache drops its
+    least recently used kernel past 256, and a walk fetches its kernels
+    once.  Each kernel's code filename is ``<anchored_kernel N>``, N
+    counting compiles, so a profile keeps kernels apart; it holds no
+    value of the table.  The avoider walk of a set uses two kernels: the
+    set's table's, and its gate's, the table of the set's nonempty
+    prefixes q.
 
     >>> kernel = anchored_kernel(prefix_table({(1, 2, 3), (1, 3, 2)}))
-    >>> kernel((1, 2), 3), kernel((), 1)
-    ([(1, 2, 2), (2, 3, 2)], [])
+    >>> kernel((1, 2), 3), kernel((2, 1), 3), kernel((), 1)
+    ([(1, 2, 2), (2, 3, 2)], [], [])
     """
     chained: dict[str, str] = {}  # name -> source, callees first
     body = [

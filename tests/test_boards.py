@@ -10,9 +10,7 @@ from shapewilf.perms import all_perms, parse_perm, parse_pattern_set
 from shapewilf.boards import (
     Filling,
     OutOfBoardError,
-    admits_filling,
     board_from_row_lengths,
-    cell_in_board,
     corner_profile,
     count_fillings,
     enumerate_boards,
@@ -66,7 +64,7 @@ def brute_force_contains(f, p):
             for b in range(a + 1, k)
         ):
             continue
-        if all(cell_in_board(board, c, r) for c in cols for r in vals):
+        if all(r <= board[c - 1] for c in cols for r in vals):
             return True
     return False
 
@@ -86,13 +84,7 @@ def test_fig_board_conversion():
     assert FIG_BOARD == (6, 6, 5, 4, 3, 3)
 
 
-def test_admits_filling_examples():
-    assert admits_filling((3, 2, 1))
-    assert not admits_filling((2, 2, 2))
-    assert not admits_filling((3, 1, 1))
-
-
-def test_admits_filling_matches_brute_force():
+def test_every_height_vector_matches_brute_force():
     # every weakly decreasing height vector with entries <= 5, m <= 5,
     # including boards admitting no transversal at all
     def boards_all(m, cap):
@@ -106,7 +98,10 @@ def test_admits_filling_matches_brute_force():
 
     for m in range(0, 6):
         for board in boards_all(m, 5):
-            assert admits_filling(board) == bool(brute_force_fillings(board)), board
+            expected = brute_force_fillings(board)
+            assert [f.rows for f in fillings(board)] == expected, board
+            assert count_fillings(board) == len(expected), board
+            assert transversal_count_formula(board) == len(expected), board
 
 
 def test_enumerate_boards_small():
@@ -125,7 +120,7 @@ def test_enumerate_boards_small():
 def test_enumerate_boards_all_admit():
     for n in range(1, 7):
         for board in enumerate_boards(n):
-            assert admits_filling(board)
+            assert brute_force_fillings(board), board
 
 
 def test_make_filling():

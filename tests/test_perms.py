@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from shapewilf.perms import (
     all_perms,
-    anchored_intervals,
     anchored_kernel,
     apply_ops,
     avoids_all,
@@ -230,7 +229,7 @@ def test_engine_kernel_lists_anchored_prefix_occurrences_in_order(patterns, rows
                      max(chosen, default=0))
                     for below, above in ends
                 )
-    assert anchored_intervals(table, tuple(rows), 10) == expected
+    assert anchored_kernel(table)(tuple(rows), 10) == expected
 
 
 def test_kernels_past_the_nesting_limit():
@@ -239,7 +238,7 @@ def test_kernels_past_the_nesting_limit():
     s = frozenset({(2, 1), tuple(range(1, 26))})
     assert avoider_counts(s, 26) == [1] * 24 + [0, 0]
     assert count_fillings(tuple(range(25, 0, -1)), s) == 1
-    assert anchored_intervals(prefix_table(s), tuple(range(1, 25)), 25) == [
+    assert anchored_kernel(prefix_table(s))(tuple(range(1, 25)), 25) == [
         (0, 24, 24), (24, 25, 24)
     ]
 
@@ -288,8 +287,8 @@ def test_occurrence_searches_leave_no_reference_cycles():
                 occurrences(p, w)
             corner_profile(w, patterns)
             filling_avoids_all(Filling(square, w), patterns)
-            anchored_intervals(table, w, 6)
             kernel = anchored_kernel(table)
+            kernel(w, 6)
             child_blocks(kernel, [6] * 7, w)
             child_forbidden(kernel, 0, w)
             pop_occurrences(fan, w)
